@@ -5,9 +5,10 @@
 //! Two vantage points, reported side by side with QT:
 //!
 //! * **index level** — run the normal REPOSE top-k queries and report the
-//!   search counters: how many exact verifications ran and how many of
-//!   them the running k-th distance refuted before full `O(m·n)` cost
-//!   (`exact_abandoned`).
+//!   search counters: how many exact verifications ran, how many of them
+//!   the running k-th distance refuted before full `O(m·n)` cost
+//!   (`exact_abandoned`), and how many of those the staged lower bound
+//!   refuted before any kernel ran (`exact_prefiltered`).
 //! * **kernel level** — scan the whole dataset against one query, once
 //!   with the unbounded kernels and once with `distance_within` under the
 //!   true k-th distance as threshold (the selectivity an ideal index gives
@@ -92,17 +93,23 @@ pub fn run(exp: &ExpConfig) -> Value {
 
         let scan = kernel_scan(&data, &queries[0].points, measure, &params, exp.k);
         let speedup = if scan.within_s > 0.0 { scan.full_s / scan.within_s } else { 0.0 };
-        let abandon_rate = if search.exact_computations > 0 {
-            search.exact_abandoned as f64 / search.exact_computations as f64
-        } else {
-            0.0
+        let share = |n: usize| {
+            if search.exact_computations > 0 {
+                n as f64 / search.exact_computations as f64
+            } else {
+                0.0
+            }
         };
+        let abandon_rate = share(search.exact_abandoned);
+        let prefilter_rate = share(search.exact_prefiltered);
         rows.push(vec![
             measure.name().to_string(),
             fmt_secs(qt_s),
             search.exact_computations.to_string(),
             search.exact_abandoned.to_string(),
             format!("{:.0}%", abandon_rate * 100.0),
+            search.exact_prefiltered.to_string(),
+            format!("{:.0}%", prefilter_rate * 100.0),
             fmt_secs(scan.full_s),
             fmt_secs(scan.within_s),
             format!("{speedup:.1}x"),
@@ -113,6 +120,8 @@ pub fn run(exp: &ExpConfig) -> Value {
             "exact_computations": search.exact_computations,
             "exact_abandoned": search.exact_abandoned,
             "abandon_rate": abandon_rate,
+            "exact_prefiltered": search.exact_prefiltered,
+            "prefilter_rate": prefilter_rate,
             "scan_trajectories": scan.scanned,
             "scan_abandoned": scan.abandoned,
             "scan_full_s": scan.full_s,
@@ -126,8 +135,8 @@ pub fn run(exp: &ExpConfig) -> Value {
     );
     print_table(
         &[
-            "Measure", "QT", "exact", "abandoned", "abandon %", "scan full",
-            "scan within", "speedup",
+            "Measure", "QT", "exact", "abandoned", "abandon %", "prefiltered",
+            "prefilter %", "scan full", "scan within", "speedup",
         ],
         &rows,
     );
@@ -159,6 +168,8 @@ mod tests {
             let exact = row["exact_computations"].as_u64().unwrap();
             let abandoned = row["exact_abandoned"].as_u64().unwrap();
             assert!(abandoned <= exact, "abandons exceed attempts");
+            let prefiltered = row["exact_prefiltered"].as_u64().unwrap();
+            assert!(prefiltered <= abandoned, "prefilter refutations exceed abandons");
             any_index_abandons |= abandoned > 0;
             // A selective threshold (true k-th over the whole set) must
             // let the kernel-level scan abandon most of the dataset.

@@ -19,10 +19,14 @@
 //!   candidates abandon after a few DP rows, so fixed per-call costs
 //!   dominate: the regime the zero-allocation + SIMD work targets.
 //! * **batched scan** — the same loop through
-//!   `distance_within_batch_in`, the production leaf/refinement path:
-//!   lane-batched multi-candidate verification for DTW/Fréchet/ERP
-//!   (candidates share each query column load), sequential fallback for
-//!   the other measures.
+//!   `distance_within_batch_in`: lane-batched multi-candidate verification
+//!   for DTW/Fréchet/ERP (candidates share each query column load),
+//!   sequential fallback for the other measures.
+//! * **cascade scan** — the production leaf/refinement path: the batched
+//!   scan behind the staged lower bound (`cascade_lower_bound`, whose
+//!   `O(m)` and `O(n)` stages refute candidates the summary bound let
+//!   through before any kernel runs). Its gain over the batched scan is
+//!   the per-measure evidence that each stage pays for itself.
 //!
 //! Timing is min-of-repeats per arm. Bit-identity of every arm against
 //! the seed path is asserted in-run, per backend — the experiment is
@@ -32,8 +36,8 @@ use crate::runner::{load, params_for, ExpConfig};
 use crate::{fmt_secs, print_table};
 use repose_datagen::PaperDataset;
 use repose_distance::{
-    available_backends, bound_exceeds, force_backend, just_above, reference, Backend,
-    DistScratch, Measure, TrajSummary,
+    available_backends, bound_exceeds, force_backend, just_above, prefilter_rejects, reference,
+    Backend, DistScratch, Measure, TrajSummary,
 };
 use repose_model::{Dataset, Point, TrajStore};
 use serde_json::{json, Value};
@@ -60,7 +64,9 @@ struct MeasureRow {
     scan_seed_s: f64,
     scan_arena_s: f64,
     scan_batch_s: f64,
+    scan_cascade_s: f64,
     abandoned: usize,
+    prefiltered: usize,
     scanned: usize,
 }
 
@@ -192,13 +198,43 @@ fn run_measure(
         );
     }
 
+    // -- Cascade scan: the staged bound raised per candidate, in the timed
+    // loop, in front of the same batched kernels. --
+    let mut cascade_cands = cand_refs.clone();
+    let mut cascade_out = vec![None; cand_refs.len()];
+    let (scan_cascade_s, prefiltered) = timed(|| {
+        let mut prefiltered = 0usize;
+        for (c, &(slot, _)) in cascade_cands.iter_mut().zip(&kernel_cands) {
+            let pts = store.points(slot);
+            let lb = params.cascade_lower_bound(measure, query, &qsum, pts, &summaries[slot], dk);
+            prefiltered += usize::from(prefilter_rejects(lb, dk));
+            *c = (lb, pts);
+        }
+        params.distance_within_batch_in(
+            measure,
+            query,
+            &cascade_cands,
+            dk,
+            &mut scratch,
+            &mut cascade_out,
+        );
+        black_box(prefiltered)
+    });
+    assert_eq!(
+        cascade_out.iter().map(|o| o.map(f64::to_bits)).collect::<Vec<_>>(),
+        batch_out.iter().map(|o| o.map(f64::to_bits)).collect::<Vec<_>>(),
+        "{measure} on {backend}: the cascade changed a verification result"
+    );
+
     MeasureRow {
         full_seed_s,
         full_arena_s,
         scan_seed_s,
         scan_arena_s,
         scan_batch_s,
+        scan_cascade_s,
         abandoned: arena_scan,
+        prefiltered,
         scanned: kernel_cands.len(),
     }
 }
@@ -232,6 +268,7 @@ pub fn run(exp: &ExpConfig) -> Value {
             let full_speedup = ratio(r.full_seed_s, r.full_arena_s);
             let scan_speedup = ratio(r.scan_seed_s, r.scan_arena_s);
             let batch_speedup = ratio(r.scan_seed_s, r.scan_batch_s);
+            let cascade_speedup = ratio(r.scan_batch_s, r.scan_cascade_s);
             if backend == widest {
                 headline_product *= batch_speedup.max(f64::MIN_POSITIVE);
             }
@@ -246,7 +283,9 @@ pub fn run(exp: &ExpConfig) -> Value {
                 format!("{scan_speedup:.2}x"),
                 fmt_secs(r.scan_batch_s),
                 format!("{batch_speedup:.2}x"),
-                format!("{}/{}", r.abandoned, r.scanned),
+                fmt_secs(r.scan_cascade_s),
+                format!("{cascade_speedup:.2}x"),
+                format!("{}/{}/{}", r.prefiltered, r.abandoned, r.scanned),
             ]);
             out.push(json!({
                 "backend": backend.name(),
@@ -259,6 +298,9 @@ pub fn run(exp: &ExpConfig) -> Value {
                 "scan_speedup": scan_speedup,
                 "scan_batch_s": r.scan_batch_s,
                 "batch_speedup": batch_speedup,
+                "scan_cascade_s": r.scan_cascade_s,
+                "cascade_speedup": cascade_speedup,
+                "scan_prefiltered": r.prefiltered,
                 "scan_abandoned": r.abandoned,
                 "scanned": r.scanned,
             }));
@@ -281,7 +323,8 @@ pub fn run(exp: &ExpConfig) -> Value {
     print_table(
         &[
             "Backend", "Measure", "full seed", "full arena", "speedup", "scan seed",
-            "scan arena", "speedup", "scan batch", "speedup", "abandoned",
+            "scan arena", "speedup", "scan batch", "speedup", "scan cascade",
+            "vs batch", "prefiltered/abandoned/scanned",
         ],
         &rows,
     );
@@ -324,6 +367,11 @@ mod tests {
             assert!(row["batch_speedup"].as_f64().unwrap() > 0.0);
             let scanned = row["scanned"].as_u64().unwrap();
             assert!(row["scan_abandoned"].as_u64().unwrap() <= scanned);
+            assert!(row["cascade_speedup"].as_f64().unwrap() > 0.0);
+            assert!(
+                row["scan_prefiltered"].as_u64().unwrap()
+                    <= row["scan_abandoned"].as_u64().unwrap()
+            );
         }
         let summary = &rows[6 * n_backends];
         assert!(summary["summary"].as_bool().unwrap());

@@ -52,11 +52,12 @@ pub use erp::{erp, erp_in};
 pub use frechet::{frechet, frechet_in, FrechetColumn};
 pub use hausdorff::{directed_hausdorff, hausdorff, hausdorff_in, HausdorffState};
 pub use lcss::{lcss_distance, lcss_distance_in, lcss_length, lcss_length_in};
-pub use measure::{Measure, MeasureParams, RefineEvent, BATCH_LANES};
+pub use measure::{Measure, MeasureParams, RefineCand, RefineEvent, BATCH_LANES};
 pub use scratch::DistScratch;
 pub use summary::TrajSummary;
 pub use within::{
     bound_exceeds, dtw_within, dtw_within_in, edr_within, edr_within_in, erp_within,
     erp_within_in, frechet_within, frechet_within_in, hausdorff_within, hausdorff_within_in,
-    just_above, lcss_distance_within, lcss_distance_within_in, RunningTopK, ThresholdSource,
+    just_above, lcss_distance_within, lcss_distance_within_in, prefilter_rejects, RunningTopK,
+    ThresholdSource,
 };

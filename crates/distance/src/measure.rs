@@ -1,10 +1,10 @@
 use crate::within::{
-    bound_exceeds, dtw_lb, dtw_within_in, edr_lb, edr_within_in, erp_lb, erp_within_in,
-    frechet_lb, frechet_within_in, hausdorff_lb, hausdorff_within_in, just_above,
-    lcss_distance_within_in, lcss_lb, prefilter_rejects, RunningTopK,
+    bound_exceeds, dtw_within_in, edr_within_in, erp_within_in, frechet_within_in,
+    hausdorff_within_in, just_above, lcss_distance_within_in, prefilter_rejects, RunningTopK,
 };
 use crate::{
     dtw_in, edr_in, erp_in, frechet_in, hausdorff_in, lcss_distance_in, DistScratch,
+    TrajSummary,
 };
 use repose_model::Point;
 
@@ -14,10 +14,22 @@ use repose_model::Point;
 /// batched verification should use this.
 pub const BATCH_LANES: usize = 4;
 
+/// A candidate of [`MeasureParams::refine_by_bound_shared`]: its sort-key
+/// lower bound, id, points, and stored prefilter summary (under the same
+/// [`MeasureParams`]). A candidate with a summary has its bound raised by
+/// [`MeasureParams::cascade_lower_bound`] before scoring; one without is
+/// scored behind its sort-key bound alone, which should then already be
+/// the full [`MeasureParams::lower_bound`].
+pub type RefineCand<'a> = (f64, u64, &'a [Point], Option<&'a TrajSummary>);
+
 /// What happened to one candidate inside [`MeasureParams::refine_by_bound`]
 /// — the hook callers use to account for verification work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefineEvent {
+    /// The candidate's staged lower bound
+    /// ([`MeasureParams::cascade_lower_bound`]) refuted it before any
+    /// kernel ran.
+    Prefiltered,
     /// The candidate reached the threshold-aware kernel; `abandoned` is
     /// `true` when the kernel refuted it before full cost.
     Scored {
@@ -379,23 +391,11 @@ impl MeasureParams {
 
     /// Exact top-k refinement of `(lower_bound, id, points)` candidates
     /// under a running threshold — the early-abandoning replacement for
-    /// "score every candidate, sort, truncate to k", shared by the serving
-    /// layer's delta scan and the DITA/DFT refinement passes.
-    ///
-    /// Sorts candidates by `(bound, id)` so the k-th distance tightens on
-    /// the likely-closest ones first, scores each with the threshold-aware
-    /// kernel at the *successor* of the current cutoff (equal-distance
-    /// ties still get scored and resolve by id exactly as a full sort
-    /// would), and stops at the first candidate whose bound proves it —
-    /// and hence the sorted remainder — cannot beat the cutoff
-    /// ([`bound_exceeds`], fp-safety margin included). `cap` bounds useful
-    /// distances inclusively (`dist == cap` is kept); pass
-    /// [`f64::INFINITY`] for plain top-k. `on_event` observes every
-    /// candidate's fate for work accounting.
-    ///
-    /// Returns up to `k` `(distance, id)` pairs ascending — exactly the k
-    /// smallest such pairs among candidates with `dist <= cap`, identical
-    /// to what exhaustive exact scoring would keep.
+    /// "score every candidate, sort, truncate to k", used by the DITA/DFT
+    /// refinement passes, whose sort keys are already the full
+    /// [`MeasureParams::lower_bound`]: [`MeasureParams::refine_by_bound_shared`]
+    /// without summaries or a shared threshold; see there for the
+    /// ordering, tie and `cap` semantics.
     pub fn refine_by_bound(
         &self,
         measure: Measure,
@@ -405,33 +405,56 @@ impl MeasureParams {
         cands: Vec<(f64, u64, &[Point])>,
         on_event: impl FnMut(RefineEvent),
     ) -> Vec<(f64, u64)> {
-        self.refine_by_bound_shared(measure, query, k, cap, None, cands, on_event)
+        let qsum = self.summary_of(query);
+        let cands = cands.into_iter().map(|(lb, id, pts)| (lb, id, pts, None)).collect();
+        self.refine_by_bound_shared(measure, query, &qsum, k, cap, None, cands, on_event)
     }
 
-    /// [`MeasureParams::refine_by_bound`] against a *live* shared threshold:
-    /// every candidate's cutoff is additionally clamped by
-    /// [`crate::ThresholdSource::bound`] (re-read per candidate, so a hit another
-    /// search publishes mid-scan tightens this one immediately), and every
-    /// accepted hit is published back so this scan tightens the others.
+    /// Exact top-k refinement of [`RefineCand`]s under a running threshold,
+    /// optionally clamped by a *live* shared one — the serving layer's
+    /// delta scan.
     ///
-    /// With `shared` = `None` this is exactly `refine_by_bound`. The shared
-    /// bound is an upper bound on the *global* k-th distance, so clamping
-    /// with it never discards a candidate that could still appear in the
-    /// merged global top-k (ties at the bound are kept: the cutoff is
-    /// applied through [`just_above`], i.e. inclusively).
+    /// Sorts candidates by `(bound, id)` so the k-th distance tightens on
+    /// the likely-closest ones first, raises the bound of each candidate
+    /// that carries a summary through
+    /// [`MeasureParams::cascade_lower_bound`] against the query summary
+    /// `qsum`, scores the survivors with the threshold-aware kernel at the
+    /// *successor* of the current cutoff (equal-distance ties still get
+    /// scored and resolve by id exactly as a full sort would), and stops at
+    /// the first candidate whose sort-key bound proves it — and hence the
+    /// sorted remainder — cannot beat the cutoff ([`bound_exceeds`],
+    /// fp-safety margin included). `cap` bounds useful distances
+    /// inclusively (`dist == cap` is kept); pass [`f64::INFINITY`] for
+    /// plain top-k. `on_event` observes every candidate's fate for work
+    /// accounting.
+    ///
+    /// With `shared`, every candidate's cutoff is additionally clamped by
+    /// [`crate::ThresholdSource::bound`] (re-read per lane group, so a hit
+    /// another search publishes mid-scan tightens this one immediately),
+    /// and every accepted hit is published back so this scan tightens the
+    /// others. The shared bound is an upper bound on the *global* k-th
+    /// distance, so clamping with it never discards a candidate that could
+    /// still appear in the merged global top-k (ties at the bound are
+    /// kept: the cutoff is applied through [`just_above`], i.e.
+    /// inclusively).
+    ///
+    /// Returns up to `k` `(distance, id)` pairs ascending — exactly the k
+    /// smallest such pairs among candidates with `dist <= cap`, identical
+    /// to what exhaustive exact scoring would keep.
     #[allow(clippy::too_many_arguments)]
     pub fn refine_by_bound_shared(
         &self,
         measure: Measure,
         query: &[Point],
+        qsum: &TrajSummary,
         k: usize,
         cap: f64,
         shared: Option<&dyn crate::ThresholdSource>,
-        cands: Vec<(f64, u64, &[Point])>,
+        cands: Vec<RefineCand<'_>>,
         on_event: impl FnMut(RefineEvent),
     ) -> Vec<(f64, u64)> {
         DistScratch::with_thread(|s| {
-            self.refine_by_bound_shared_in(measure, query, k, cap, shared, cands, on_event, s)
+            self.refine_by_bound_shared_in(measure, query, qsum, k, cap, shared, cands, on_event, s)
         })
     }
 
@@ -443,10 +466,11 @@ impl MeasureParams {
         &self,
         measure: Measure,
         query: &[Point],
+        qsum: &TrajSummary,
         k: usize,
         cap: f64,
         shared: Option<&dyn crate::ThresholdSource>,
-        mut cands: Vec<(f64, u64, &[Point])>,
+        mut cands: Vec<RefineCand<'_>>,
         mut on_event: impl FnMut(RefineEvent),
         scratch: &mut DistScratch,
     ) -> Vec<(f64, u64)> {
@@ -476,14 +500,18 @@ impl MeasureParams {
             if let Some(s) = shared {
                 cutoff = cutoff.min(s.bound());
             }
+            let thr = just_above(cutoff);
             let mut nb = 0;
             let mut stopped = false;
             while idx < total && nb < group_len {
-                let (lb, id, points) = cands[idx];
+                let (lb, id, points, sum) = cands[idx];
                 if bound_exceeds(lb, cutoff) {
                     stopped = true;
                     break;
                 }
+                let lb = sum.map_or(lb, |sum| {
+                    lb.max(self.cascade_lower_bound(measure, query, qsum, points, sum, thr))
+                });
                 group[nb] = (lb, points);
                 ids[nb] = id;
                 nb += 1;
@@ -493,12 +521,16 @@ impl MeasureParams {
                 measure,
                 query,
                 &group[..nb],
-                just_above(cutoff),
+                thr,
                 scratch,
                 &mut scored[..nb],
             );
-            for (&d, &id) in scored[..nb].iter().zip(&ids[..nb]) {
-                on_event(RefineEvent::Scored { abandoned: d.is_none() });
+            for ((&d, &id), &(lb, _)) in scored[..nb].iter().zip(&ids[..nb]).zip(&group[..nb]) {
+                on_event(if prefilter_rejects(lb, thr) {
+                    RefineEvent::Prefiltered
+                } else {
+                    RefineEvent::Scored { abandoned: d.is_none() }
+                });
                 if let Some(d) = d {
                     best.push(d, id);
                     if let Some(s) = shared {
@@ -512,21 +544,6 @@ impl MeasureParams {
             }
         }
         best.into_sorted()
-    }
-
-    /// Cheap `O(m + n)` lower bound on the exact distance under `measure`
-    /// (MBR, endpoint, and gap-sum arguments — the `distance_within`
-    /// prefilter). Useful for ordering candidates so that a running top-k
-    /// threshold tightens as fast as possible before exact scoring.
-    pub fn lower_bound(&self, measure: Measure, t1: &[Point], t2: &[Point]) -> f64 {
-        match measure {
-            Measure::Hausdorff => hausdorff_lb(t1, t2),
-            Measure::Frechet => frechet_lb(t1, t2),
-            Measure::Dtw => dtw_lb(t1, t2),
-            Measure::Lcss => lcss_lb(t1, t2, self.eps),
-            Measure::Edr => edr_lb(t1, t2, self.eps),
-            Measure::Erp => erp_lb(t1, t2, self.erp_gap),
-        }
     }
 }
 

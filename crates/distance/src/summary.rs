@@ -1,16 +1,25 @@
-//! Precomputed per-trajectory prefilter summaries: `O(1)`-per-candidate
-//! lower bounds at verification sites.
+//! Precomputed per-trajectory prefilter summaries and the staged lower
+//! bound every verification site puts in front of the exact kernel.
 //!
-//! [`crate::MeasureParams::lower_bound`] walks both trajectories — `O(m+n)`
-//! per candidate — which is cheap next to a DP kernel but adds up when an
-//! index verifies thousands of leaf members per query. A [`TrajSummary`]
-//! captures, *once at index-build (or delta-insert) time*, exactly the
-//! aggregates those bounds need: the bounding rectangle, the two endpoints,
-//! the ERP gap-distance sum, and the point count. Two summaries then yield
-//! a sound (weaker, but constant-time) lower bound for every measure via
-//! [`crate::MeasureParams::summary_lower_bound`] — no per-point work at
-//! query time beyond summarizing the query itself once.
+//! A [`TrajSummary`] captures, *once at index-build (or delta-insert)
+//! time*, the aggregates the prefilter bounds need: the bounding
+//! rectangle, the two endpoints, the ERP gap-distance sum, and the point
+//! count. [`MeasureParams::cascade_lower_bound`] then refutes a candidate
+//! in up to three stages, each run only while the bound so far is still
+//! below the live threshold (the UCR-suite cascade of Rakthanmanon et al.,
+//! KDD 2012, on trajectory summaries):
+//!
+//! 1. `O(1)` — both summaries ([`MeasureParams::summary_lower_bound`]);
+//! 2. `O(m)` — the query's points against the candidate's summary
+//!    ([`MeasureParams::stage_lower_bound`]), never touching candidate
+//!    points;
+//! 3. `O(n)` — the candidate's points against the query's summary (the
+//!    same function, roles swapped).
+//!
+//! [`MeasureParams::lower_bound`] is the maximum of the same three stages
+//! over summaries computed on the fly.
 
+use crate::within::prefilter_rejects;
 use crate::{Measure, MeasureParams};
 use repose_model::{Mbr, Point};
 
@@ -55,39 +64,69 @@ fn boxes_cannot_match(a: &Mbr, b: &Mbr, eps: f64) -> bool {
         || b.min.y - a.max.y > eps
 }
 
+/// Whether `p` could `ε`-match *any* point inside `mbr` under the
+/// per-dimension test LCSS and EDR use.
+fn could_match(p: Point, mbr: &Mbr, eps: f64) -> bool {
+    p.x >= mbr.min.x - eps
+        && p.x <= mbr.max.x + eps
+        && p.y >= mbr.min.y - eps
+        && p.y <= mbr.max.y + eps
+}
+
+/// The summary of `t` with `gap_sum` left at 0: everything but the ERP
+/// gap sum, which costs a square root per point.
+fn shape_summary(t: &[Point]) -> TrajSummary {
+    match Mbr::from_points(t) {
+        Some(mbr) => TrajSummary {
+            mbr,
+            first: t[0],
+            last: *t.last().expect("non-empty"),
+            gap_sum: 0.0,
+            len: t.len() as u32,
+            pad: 0,
+        },
+        None => {
+            let o = Point::new(0.0, 0.0);
+            TrajSummary { mbr: Mbr::new(o, o), first: o, last: o, gap_sum: 0.0, len: 0, pad: 0 }
+        }
+    }
+}
+
 impl MeasureParams {
     /// Builds the prefilter summary of `t` (see [`TrajSummary`]).
     pub fn summary_of(&self, t: &[Point]) -> TrajSummary {
-        match Mbr::from_points(t) {
-            Some(mbr) => TrajSummary {
-                mbr,
-                first: t[0],
-                last: *t.last().expect("non-empty"),
-                gap_sum: t.iter().map(|p| p.dist(&self.erp_gap)).sum(),
-                len: t.len() as u32,
-                pad: 0,
-            },
-            None => {
-                let o = Point::new(0.0, 0.0);
-                TrajSummary { mbr: Mbr::new(o, o), first: o, last: o, gap_sum: 0.0, len: 0, pad: 0 }
-            }
+        TrajSummary {
+            gap_sum: t.iter().map(|p| p.dist(&self.erp_gap)).sum(),
+            ..shape_summary(t)
         }
+    }
+
+    /// `O(m + n)` lower bound on the exact distance under `measure` (the
+    /// `distance_within` prefilter): the maximum of every stage of
+    /// [`MeasureParams::cascade_lower_bound`] over summaries computed on
+    /// the fly. Useful for ordering candidates so that a running top-k
+    /// threshold tightens as fast as possible before exact scoring.
+    pub fn lower_bound(&self, measure: Measure, t1: &[Point], t2: &[Point]) -> f64 {
+        // Only ERP's summary stage reads the gap sums.
+        let summarize = |t| match measure {
+            Measure::Erp => self.summary_of(t),
+            _ => shape_summary(t),
+        };
+        let (s1, s2) = (summarize(t1), summarize(t2));
+        self.summary_lower_bound(measure, &s1, &s2)
+            .max(self.stage_lower_bound(measure, t1, &s2))
+            .max(self.stage_lower_bound(measure, t2, &s1))
     }
 
     /// `O(1)` lower bound on the exact distance between the two summarized
     /// trajectories under `measure`.
     ///
-    /// Every term is a relaxation of the corresponding
-    /// [`MeasureParams::lower_bound`] argument, so the result never exceeds
-    /// it — it is a weaker bound bought at constant cost. Feed it to
-    /// [`MeasureParams::distance_within_from_lb`] (never to a site that
-    /// needs the tighter per-point bound for exactness — there is none; all
-    /// callers only require *some* sound lower bound).
+    /// The first stage of [`MeasureParams::cascade_lower_bound`]: a weaker
+    /// bound than the per-point stages, bought at constant cost.
     pub fn summary_lower_bound(&self, measure: Measure, a: &TrajSummary, b: &TrajSummary) -> f64 {
         if a.len == 0 || b.len == 0 {
-            // Match the conservative empty-input behaviour of the O(m+n)
-            // bounds: only the measures defined through lengths/sums can
-            // say anything without points.
+            // Without points only the measures defined through lengths or
+            // sums can say anything.
             return match measure {
                 Measure::Erp => (a.gap_sum - b.gap_sum).abs(),
                 Measure::Edr => a.len.abs_diff(b.len) as f64,
@@ -135,6 +174,103 @@ impl MeasureParams {
                 } else {
                     len_diff
                 }
+            }
+        }
+    }
+
+    /// The staged lower bound on the exact distance between `query` and
+    /// `cand` (see the module docs): the summary bound, then
+    /// [`MeasureParams::stage_lower_bound`] of the query against `csum`,
+    /// then of the candidate against `qsum`. Returns as soon as the bound
+    /// so far is refuted at `threshold` by the prefilter's own test
+    /// ([`crate::prefilter_rejects`]), so a hopeless candidate costs `O(1)`
+    /// or `O(m)` instead of `O(m + n)`.
+    ///
+    /// Hausdorff and Fréchet stop after the summary stage: their kernels
+    /// abandon on the first row whose nearest-point distance reaches the
+    /// threshold, which is the per-point stages' own test at the same
+    /// cost, so the stages only added work in front of them (a net loss
+    /// for both in the `kernels` experiment's cascade arm).
+    ///
+    /// `qsum` and `csum` must be the summaries of `query` and `cand` under
+    /// these parameters. Every stage is sound on its own, so the result is
+    /// a valid `lb` for [`MeasureParams::distance_within_from_lb`] and
+    /// [`MeasureParams::distance_within_batch_in`]: it only moves *where*
+    /// a refutation happens, never whether.
+    pub fn cascade_lower_bound(
+        &self,
+        measure: Measure,
+        query: &[Point],
+        qsum: &TrajSummary,
+        cand: &[Point],
+        csum: &TrajSummary,
+        threshold: f64,
+    ) -> f64 {
+        let lb = self.summary_lower_bound(measure, qsum, csum);
+        if matches!(measure, Measure::Hausdorff | Measure::Frechet)
+            || prefilter_rejects(lb, threshold)
+        {
+            return lb;
+        }
+        let lb = lb.max(self.stage_lower_bound(measure, query, csum));
+        if prefilter_rejects(lb, threshold) {
+            return lb;
+        }
+        lb.max(self.stage_lower_bound(measure, cand, qsum))
+    }
+
+    /// One cascade stage: a lower bound on the distance between the
+    /// trajectory `pts` and the trajectory summarized by `other`, from
+    /// `pts`'s points and `other`'s rectangle and endpoints alone — `O(|pts|)`.
+    /// Every point of the other trajectory lies inside `other.mbr`, so a
+    /// point of `pts` is at least `minDist(p, other.mbr)` from any point it
+    /// is paired with. Per measure:
+    ///
+    /// * **Hausdorff, Fréchet** — `max_p minDist(p, mbr)`: every point of
+    ///   `pts` has a nearest neighbour (Hausdorff) or a coupling partner
+    ///   (Fréchet, which dominates Hausdorff) in the other trajectory.
+    /// * **DTW** — `d(p₁, first) + d(p_m, last) + Σ_{i=2}^{m−1} minDist(p_i,
+    ///   mbr)`: each row of a warping path holds at least one cell, row 1
+    ///   holds `(1, 1)` and row `m` holds `(m, n)`; the rows are disjoint,
+    ///   so these costs add (the end term is dropped when `(1, 1)` and
+    ///   `(m, n)` are the same cell).
+    /// * **ERP** — `Σ_p min(d(p, gap), minDist(p, mbr))`: every point is
+    ///   either matched to a point of the other trajectory or gapped, once.
+    /// * **EDR** — the number of points with no possible `ε`-match inside
+    ///   the `ε`-expanded rectangle: each costs at least one edit.
+    /// * **LCSS** — `1 − c / min(m, n)` with `c` the points that could
+    ///   `ε`-match at all, which caps the common subsequence.
+    ///
+    /// Empty inputs yield 0 (the summary stage covers their length terms).
+    pub fn stage_lower_bound(&self, measure: Measure, pts: &[Point], other: &TrajSummary) -> f64 {
+        let (Some(first), Some(last)) = (pts.first(), pts.last()) else {
+            return 0.0;
+        };
+        if other.len == 0 {
+            return 0.0;
+        }
+        let mbr = &other.mbr;
+        match measure {
+            Measure::Hausdorff | Measure::Frechet => {
+                pts.iter().map(|p| mbr.min_dist(*p)).fold(0.0f64, f64::max)
+            }
+            Measure::Dtw => {
+                let mut lb = first.dist(&other.first);
+                if pts.len() > 1 || other.len > 1 {
+                    lb += last.dist(&other.last);
+                }
+                let inner = pts.get(1..pts.len() - 1).unwrap_or_default();
+                lb + inner.iter().map(|p| mbr.min_dist(*p)).sum::<f64>()
+            }
+            Measure::Erp => pts
+                .iter()
+                .map(|p| p.dist(&self.erp_gap).min(mbr.min_dist(*p)))
+                .sum(),
+            Measure::Edr => pts.iter().filter(|p| !could_match(**p, mbr, self.eps)).count() as f64,
+            Measure::Lcss => {
+                let minlen = pts.len().min(other.len as usize);
+                let c = pts.iter().filter(|p| could_match(**p, mbr, self.eps)).count();
+                1.0 - c.min(minlen) as f64 / minlen as f64
             }
         }
     }
@@ -224,6 +360,39 @@ mod tests {
         assert_eq!(params.summary_lower_bound(Measure::Edr, &empty, &one), 1.0);
         // ERP to the empty trajectory is exactly the gap sum.
         assert_eq!(params.summary_lower_bound(Measure::Erp, &empty, &one), 5.0);
+    }
+
+    #[test]
+    fn stages_separate_candidates_inside_overlapping_rectangles() {
+        // Same bounding box, opposite directions: the summary bound sees
+        // only the endpoints, the per-point DTW stages see every row.
+        let params = MeasureParams::default();
+        let q = pts(&[(0.0, 0.0), (0.0, 4.0), (4.0, 4.0), (4.0, 0.0)]);
+        let c = pts(&[(4.0, 0.0), (0.0, 0.0), (0.0, 4.0), (4.0, 4.0)]);
+        let (qs, cs) = (params.summary_of(&q), params.summary_of(&c));
+        let summary = params.summary_lower_bound(Measure::Dtw, &qs, &cs);
+        let full = params.cascade_lower_bound(Measure::Dtw, &q, &qs, &c, &cs, f64::INFINITY);
+        assert_eq!(summary, 4.0);
+        assert_eq!(full, 8.0, "first pair 4 + last pair 4, interior rows free");
+        assert!(full <= params.distance(Measure::Dtw, &q, &c));
+        assert_eq!(full, params.lower_bound(Measure::Dtw, &q, &c));
+    }
+
+    #[test]
+    fn cascade_stops_at_the_first_refuting_stage() {
+        let params = MeasureParams::default();
+        let q = pts(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]);
+        let c = pts(&[(0.0, 3.0), (1.0, 3.0), (2.0, 3.0)]);
+        let (qs, cs) = (params.summary_of(&q), params.summary_of(&c));
+        for m in Measure::ALL {
+            // A threshold of 0 is refuted by any bound: only stage 1 runs.
+            let at_zero = params.cascade_lower_bound(m, &q, &qs, &c, &cs, 0.0);
+            assert_eq!(at_zero, params.summary_lower_bound(m, &qs, &cs), "{m}");
+            let full = params.cascade_lower_bound(m, &q, &qs, &c, &cs, f64::INFINITY);
+            assert!(full >= at_zero, "{m}");
+            assert!(full <= params.lower_bound(m, &q, &c), "{m}");
+            assert!(params.lower_bound(m, &q, &c) <= params.distance(m, &q, &c), "{m}");
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!
 //! Two mechanisms provide the savings:
 //!
-//! 1. A cheap `O(m + n)` **prefilter** ([`crate::MeasureParams::lower_bound`]):
+//! 1. A cheap **prefilter** ([`crate::MeasureParams::cascade_lower_bound`],
+//!    or [`crate::MeasureParams::lower_bound`] without stored summaries):
 //!    MBR/endpoint/gap-sum lower bounds that skip the dynamic program
-//!    entirely for far-away candidates.
+//!    entirely for candidates that cannot beat the threshold.
 //! 2. **Row-wise abandoning** inside the exact computation: Hausdorff stops
 //!    as soon as any point's nearest-neighbour distance reaches the
 //!    threshold; Frechet/DTW/ERP/EDR stop when an entire DP row/column
@@ -29,7 +30,7 @@
 use crate::dtw::{dtw_advance, dtw_advance2};
 use crate::frechet::{frechet_advance, frechet_advance2};
 use crate::DistScratch;
-use repose_model::{Mbr, Point};
+use repose_model::Point;
 
 /// Safety factor applied to prefilter bounds before they may reject a
 /// candidate. The geometric/triangle-inequality bounds are exact in real
@@ -621,95 +622,14 @@ pub(crate) fn lcss_distance_within_scalar_in(
 }
 
 // ---------------------------------------------------------------------------
-// O(m + n) prefilter lower bounds
+// Prefilter decisions
 // ---------------------------------------------------------------------------
 
-/// `max_{a in from} minDist(a, mbr)` — lower-bounds the directed Hausdorff
-/// term `max_a min_b d(a, b)` because every point of the other trajectory
-/// lies inside `mbr`.
-fn max_min_dist(from: &[Point], mbr: &Mbr) -> f64 {
-    from.iter()
-        .map(|a| mbr.min_dist(*a))
-        .fold(0.0f64, f64::max)
-}
-
-/// MBR lower bound for Hausdorff: both directed terms, each against the
-/// other trajectory's bounding rectangle.
-pub(crate) fn hausdorff_lb(t1: &[Point], t2: &[Point]) -> f64 {
-    let (Some(m1), Some(m2)) = (Mbr::from_points(t1), Mbr::from_points(t2)) else {
-        return 0.0;
-    };
-    max_min_dist(t1, &m2).max(max_min_dist(t2, &m1))
-}
-
-/// Frechet lower bound: Frechet dominates Hausdorff, and it must align the
-/// two start points and the two end points.
-pub(crate) fn frechet_lb(t1: &[Point], t2: &[Point]) -> f64 {
-    let (Some(a1), Some(b1)) = (t1.first(), t2.first()) else {
-        return 0.0;
-    };
-    let (a2, b2) = (t1.last().expect("non-empty"), t2.last().expect("non-empty"));
-    hausdorff_lb(t1, t2).max(a1.dist(b1)).max(a2.dist(b2))
-}
-
-/// DTW lower bound: a warping path visits every row and every column at
-/// least once, so DTW is at least the sum over either trajectory's points
-/// of the minimum distance to the other's bounding rectangle.
-pub(crate) fn dtw_lb(t1: &[Point], t2: &[Point]) -> f64 {
-    let (Some(m1), Some(m2)) = (Mbr::from_points(t1), Mbr::from_points(t2)) else {
-        return 0.0;
-    };
-    let s1: f64 = t1.iter().map(|a| m2.min_dist(*a)).sum();
-    let s2: f64 = t2.iter().map(|b| m1.min_dist(*b)).sum();
-    s1.max(s2)
-}
-
-/// ERP lower bound (Chen & Ng): ERP is a metric and `erp(t, []) = Σ d(p, g)`,
-/// so by the triangle inequality `erp(t1, t2) >= |Σ d(a, g) − Σ d(b, g)|`.
-pub(crate) fn erp_lb(t1: &[Point], t2: &[Point], gap: Point) -> f64 {
-    let s1: f64 = t1.iter().map(|p| p.dist(&gap)).sum();
-    let s2: f64 = t2.iter().map(|p| p.dist(&gap)).sum();
-    (s1 - s2).abs()
-}
-
-/// Whether `p` could match *any* point inside `mbr` under the per-dimension
-/// `eps` test used by LCSS and EDR.
-fn could_match(p: Point, mbr: &Mbr, eps: f64) -> bool {
-    p.x >= mbr.min.x - eps
-        && p.x <= mbr.max.x + eps
-        && p.y >= mbr.min.y - eps
-        && p.y <= mbr.max.y + eps
-}
-
-/// LCSS lower bound: a point outside the other trajectory's `eps`-expanded
-/// MBR can never participate in a match, which caps the achievable LCS
-/// length from both sides.
-pub(crate) fn lcss_lb(t1: &[Point], t2: &[Point], eps: f64) -> f64 {
-    let (Some(m1), Some(m2)) = (Mbr::from_points(t1), Mbr::from_points(t2)) else {
-        return 0.0;
-    };
-    let c1 = t1.iter().filter(|p| could_match(**p, &m2, eps)).count();
-    let c2 = t2.iter().filter(|p| could_match(**p, &m1, eps)).count();
-    let minlen = t1.len().min(t2.len());
-    1.0 - c1.min(c2).min(minlen) as f64 / minlen as f64
-}
-
-/// EDR lower bound: length difference, plus one guaranteed edit per point
-/// that cannot match anything in the other trajectory.
-pub(crate) fn edr_lb(t1: &[Point], t2: &[Point], eps: f64) -> f64 {
-    let len_diff = t1.len().abs_diff(t2.len()) as f64;
-    let (Some(m1), Some(m2)) = (Mbr::from_points(t1), Mbr::from_points(t2)) else {
-        return len_diff;
-    };
-    let u1 = t1.iter().filter(|p| !could_match(**p, &m2, eps)).count();
-    let u2 = t2.iter().filter(|p| !could_match(**p, &m1, eps)).count();
-    len_diff.max(u1 as f64).max(u2 as f64)
-}
-
-/// Applies the prefilter: `true` when the cheap lower bound (shrunk by the
+/// Applies the prefilter: `true` when a lower bound (shrunk by the
 /// floating-point safety margin) already proves the distance is at or above
-/// the threshold.
-pub(crate) fn prefilter_rejects(lb: f64, threshold: f64) -> bool {
+/// the threshold, so the kernel need not run. Verification sites use it to
+/// count the candidates a bound refuted on its own.
+pub fn prefilter_rejects(lb: f64, threshold: f64) -> bool {
     lb * LB_SAFETY >= threshold
 }
 
@@ -850,13 +770,12 @@ mod tests {
     #[test]
     fn prefilters_lower_bound_the_exact_distances() {
         for (a, b) in fixtures() {
-            assert!(hausdorff_lb(&a, &b) <= hausdorff(&a, &b) + 1e-9);
-            assert!(frechet_lb(&a, &b) <= frechet(&a, &b) + 1e-9);
-            assert!(dtw_lb(&a, &b) <= dtw(&a, &b) + 1e-9);
-            assert!(erp_lb(&a, &b, G) <= erp(&a, &b, G) + 1e-9);
             for eps in [0.2, 1.5] {
-                assert!(lcss_lb(&a, &b, eps) <= lcss_distance(&a, &b, eps) + 1e-9);
-                assert!(edr_lb(&a, &b, eps) <= edr(&a, &b, eps) + 1e-9);
+                let params = crate::MeasureParams::with_eps(eps);
+                for m in crate::Measure::ALL {
+                    let lb = params.lower_bound(m, &a, &b);
+                    assert!(lb <= params.distance(m, &a, &b) + 1e-9, "{m}");
+                }
             }
         }
     }
@@ -866,8 +785,9 @@ mod tests {
         // Far apart: the MBR bound alone proves the distance exceeds 1.0.
         let a = pts(&[(0.0, 0.0), (1.0, 0.0)]);
         let b = pts(&[(100.0, 100.0), (101.0, 100.0)]);
-        assert!(hausdorff_lb(&a, &b) > 100.0);
-        assert!(prefilter_rejects(hausdorff_lb(&a, &b), 1.0));
-        assert!(!prefilter_rejects(hausdorff_lb(&a, &b), 1e6));
+        let lb = crate::MeasureParams::default().lower_bound(crate::Measure::Hausdorff, &a, &b);
+        assert!(lb > 100.0);
+        assert!(prefilter_rejects(lb, 1.0));
+        assert!(!prefilter_rejects(lb, 1e6));
     }
 }

@@ -4,7 +4,9 @@
 use crate::bounds::BoundState;
 use crate::pivot::pivot_lower_bound;
 use crate::{Hit, NodeId, RpTrie};
-use repose_distance::{bound_exceeds, DistScratch, ThresholdSource, BATCH_LANES};
+use repose_distance::{
+    bound_exceeds, prefilter_rejects, DistScratch, ThresholdSource, BATCH_LANES,
+};
 use repose_model::{Point, TrajId, TrajStore};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -28,6 +30,11 @@ pub struct SearchStats {
     /// was refuted by the running k-th distance before paying the full
     /// `O(m·n)` cost (prefilter hit or mid-DP abandon).
     pub exact_abandoned: usize,
+    /// The part of `exact_abandoned` refuted by a lower bound before any
+    /// kernel ran: the staged cascade
+    /// ([`repose_distance::MeasureParams::cascade_lower_bound`]) or, in the
+    /// serving layer's delta scan, a sorted remainder skipped outright.
+    pub exact_prefiltered: usize,
     /// Child bound evaluations skipped outright: the popped path's own
     /// lower bound already exceeded the live k-th distance (after leaf
     /// verification tightened it, or a concurrent partition published a
@@ -46,6 +53,7 @@ impl SearchStats {
         self.leaves_pruned += other.leaves_pruned;
         self.exact_computations += other.exact_computations;
         self.exact_abandoned += other.exact_abandoned;
+        self.exact_prefiltered += other.exact_prefiltered;
         self.bounds_abandoned += other.bounds_abandoned;
     }
 }
@@ -181,8 +189,8 @@ pub(crate) fn top_k_filtered(
     let dqp = trie.pivots().query_distances_in(cfg, query, scratch);
     stats.exact_computations += dqp.len();
     // The query's own prefilter summary, computed once: paired with the
-    // per-member summaries stored in each leaf it yields an O(1) lower
-    // bound per verification candidate.
+    // per-member summaries stored in each leaf it drives the staged lower
+    // bound of every verification candidate.
     let qsum = params.summary_of(query);
 
     let mut best: BinaryHeap<Worst> = BinaryHeap::with_capacity(k + 1);
@@ -235,10 +243,13 @@ pub(crate) fn top_k_filtered(
                 // Verify members under the *live* k-th distance: the kernel
                 // returns the exact distance only when it beats dk and
                 // abandons (cheaply) when it cannot — same results as the
-                // unbounded `params.distance` + `d < dk` check. The
-                // prefilter reuses the member summary frozen into the leaf:
-                // O(1) per candidate instead of O(m+n); the candidate's
-                // points are a contiguous arena slice.
+                // unbounded `params.distance` + `d < dk` check. In front of
+                // it, the staged prefilter starts from the member summary
+                // frozen into the leaf (O(1)), then walks the query against
+                // that summary (O(m)) and the member against the query's
+                // summary (O(n)), each stage only while the bound still
+                // loses to dk; the candidate's points are a contiguous
+                // arena slice.
                 //
                 // On a SIMD backend, measures with a lane-batched kernel
                 // collect a vector's worth of members per dk refresh and
@@ -270,8 +281,11 @@ pub(crate) fn top_k_filtered(
                             }
                         }
                         stats.exact_computations += 1;
-                        let lb = params.summary_lower_bound(cfg.measure, &qsum, summary);
-                        group[nb] = (lb, store.points(mi as usize));
+                        let pts = store.points(mi as usize);
+                        let lb = params
+                            .cascade_lower_bound(cfg.measure, query, &qsum, pts, summary, thr);
+                        stats.exact_prefiltered += usize::from(prefilter_rejects(lb, thr));
+                        group[nb] = (lb, pts);
                         gids[nb] = id;
                         nb += 1;
                     }
@@ -535,7 +549,30 @@ mod tests {
                 r.stats
             );
             assert!(r.stats.exact_abandoned <= r.stats.exact_computations);
+            assert!(r.stats.exact_prefiltered <= r.stats.exact_abandoned);
         }
+    }
+
+    #[test]
+    fn cascade_refutes_leaf_members_before_any_kernel() {
+        // Copies of the query sharing its endpoints, with the middle point
+        // lifted: the DTW summary bound sees nothing (same endpoints,
+        // overlapping rectangles), the candidate-side stage sees the lift.
+        let q = query();
+        let mut trajs = vec![Trajectory::new(1, q.clone())];
+        for i in 0..20u64 {
+            let mut pts = q.clone();
+            pts[1].y += 0.5 + i as f64 * 0.05;
+            trajs.push(Trajectory::new(2 + i, pts));
+        }
+        let store = store_of(&trajs);
+        let grid = Grid::new(Mbr::new(Point::new(0.0, 0.0), Point::new(8.0, 8.0)), 1);
+        let trie = RpTrie::build(&store, grid, RpTrieConfig::for_measure(Measure::Dtw));
+        let r = trie.top_k(&store, &q, 2);
+        let ids: Vec<u64> = r.hits.iter().map(|h| h.id).collect();
+        assert_eq!(ids, vec![1, 2]);
+        assert!(r.stats.exact_prefiltered > 0, "stats {:?}", r.stats);
+        assert!(r.stats.exact_prefiltered <= r.stats.exact_abandoned);
     }
 
     #[test]

@@ -135,6 +135,7 @@ proptest! {
         );
         let r = trie.top_k(&store, &query, k);
         prop_assert!(r.stats.exact_abandoned <= r.stats.exact_computations);
+        prop_assert!(r.stats.exact_prefiltered <= r.stats.exact_abandoned);
         let mut expect: Vec<(f64, u64)> = trajs
             .iter()
             .map(|t| (params.distance(measure, &query, &t.points), t.id))

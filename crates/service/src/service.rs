@@ -52,7 +52,7 @@ use repose_archive::{latest_valid, prune_generations, quarantine, write_archive,
 use repose_cluster::{
     default_pool_threads, AdmissionGate, Clock, Deadline, SystemClock, WorkerPool,
 };
-use repose_distance::{just_above, Measure, MeasureParams, TrajSummary};
+use repose_distance::{just_above, Measure, MeasureParams, RefineCand, TrajSummary};
 use repose_durability::{write_snapshot, DurabilityConfig, FailPlan, Wal, WalCounters, WalRecord};
 use repose_model::{Point, TrajId, TrajStore, Trajectory};
 use repose_rptrie::{Hit, SearchStats, SharedTopK};
@@ -180,7 +180,8 @@ pub struct ServiceOutcome {
     /// `search.exact_abandoned` counts verifications (delta scan + trie
     /// search) the shared threshold refuted before full kernel cost,
     /// including delta candidates skipped outright because their stored
-    /// summary bound already lost.
+    /// summary bound already lost; `search.exact_prefiltered` is the part
+    /// of those refuted by a bound before any kernel ran.
     pub search: SearchStats,
     /// Delta-buffer candidates considered for this query.
     pub delta_candidates: usize,
@@ -955,7 +956,7 @@ impl ReposeService {
         let mut partition_times = vec![Duration::ZERO; order.len()];
         for &pi in &order {
             let p = run_partition(
-                &frozen, &tombstones, query, k, &collector, self.params, &cands[pi], pi,
+                &frozen, &tombstones, query, &qsum, k, &collector, self.params, &cands[pi], pi,
             );
             on_partition(&collector, &p.hits);
             search.merge(&p.stats);
@@ -1087,8 +1088,7 @@ impl ReposeService {
                 .iter()
                 .map(|&qi| self.params.summary_of(&queries[qi]))
                 .collect();
-            #[allow(clippy::type_complexity)]
-            let schedules: Vec<(Vec<usize>, Vec<Vec<(f64, u64, &[Point])>>)> = misses
+            let schedules: Vec<(Vec<usize>, Vec<Vec<RefineCand>>)> = misses
                 .iter()
                 .zip(&qsums)
                 .map(|(&qi, qsum)| {
@@ -1120,6 +1120,7 @@ impl ReposeService {
                         let collector = &collectors[mi];
                         let cands = &schedules[mi].1[pi];
                         let query = queries[qi].as_slice();
+                        let qsum = &qsums[mi];
                         let frozen = &frozen;
                         let tombstones = &tombstones;
                         let params = self.params;
@@ -1130,7 +1131,8 @@ impl ReposeService {
                                 PartResult::skipped()
                             } else {
                                 run_partition(
-                                    frozen, tombstones, query, k, collector, params, cands, pi,
+                                    frozen, tombstones, query, qsum, k, collector, params, cands,
+                                    pi,
                                 )
                             };
                             *slot.lock().expect("partition slot") = Some(r);
@@ -1527,7 +1529,7 @@ impl ReposeService {
             if deadline.is_some_and(|d| d.expired_at(clock.now())) {
                 return PartResult::skipped();
             }
-            run_partition(frozen, tombstones, query, k, collector, params, &cands[pi], pi)
+            run_partition(frozen, tombstones, query, qsum, k, collector, params, &cands[pi], pi)
         };
         let mut slots: Vec<Option<PartResult>> = Vec::new();
         slots.resize_with(n, || None);
@@ -1576,10 +1578,11 @@ fn run_partition(
     frozen: &Arc<Repose>,
     tombstones: &HashMap<TrajId, u64>,
     query: &[Point],
+    qsum: &TrajSummary,
     k: usize,
     collector: &SharedTopK,
     params: MeasureParams,
-    cands: &[(f64, u64, &[Point])],
+    cands: &[RefineCand],
     pi: usize,
 ) -> PartResult {
     let t0 = Instant::now();
@@ -1590,6 +1593,7 @@ fn run_partition(
         view.trie.measure(),
         params,
         query,
+        qsum,
         k,
         cands,
         &mut stats,
@@ -1619,11 +1623,10 @@ fn run_partition(
 /// does.
 ///
 /// The same pass that prices each partition also materializes its live
-/// delta candidate list `(summary bound, id, arena point slice)` — the
-/// exact input [`scan_delta`] needs — so the liveness filtering and O(1)
-/// summary bounds are paid once per query, not once for scheduling and
-/// again per scan.
-#[allow(clippy::type_complexity)]
+/// delta candidate list `(summary bound, id, arena point slice, stored
+/// summary)` — the exact input [`scan_delta`] needs — so the liveness
+/// filtering and O(1) summary bounds are paid once per query, not once for
+/// scheduling and again per scan.
 fn partition_schedule<'a>(
     frozen: &Arc<Repose>,
     deltas: &'a [DeltaSnapshot],
@@ -1631,21 +1634,22 @@ fn partition_schedule<'a>(
     query: &[Point],
     qsum: &TrajSummary,
     params: MeasureParams,
-) -> (Vec<usize>, Vec<Vec<(f64, u64, &'a [Point])>>) {
+) -> (Vec<usize>, Vec<Vec<RefineCand<'a>>>) {
     let measure = frozen.config().measure();
     let n = frozen.num_partitions();
     debug_assert_eq!(deltas.len(), n);
-    let mut cands: Vec<Vec<(f64, u64, &[Point])>> = Vec::with_capacity(n);
+    let mut cands: Vec<Vec<RefineCand>> = Vec::with_capacity(n);
     let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(n);
     for (pi, segs) in deltas.iter().enumerate() {
         let mut key = frozen.partition_view(pi).trie.root_bound(query);
-        let mut list: Vec<(f64, u64, &[Point])> = Vec::with_capacity(snapshot_len(segs));
+        let mut list: Vec<RefineCand> = Vec::with_capacity(snapshot_len(segs));
         for seg in segs {
             for slot in 0..seg.store.len() {
                 if seg.is_live(slot, tombstones) {
-                    let lb = params.summary_lower_bound(measure, qsum, &seg.meta[slot].1);
+                    let summary = &seg.meta[slot].1;
+                    let lb = params.summary_lower_bound(measure, qsum, summary);
                     key = key.min(lb);
-                    list.push((lb, seg.store.id(slot), seg.store.points(slot)));
+                    list.push((lb, seg.store.id(slot), seg.store.points(slot), Some(summary)));
                 }
             }
         }
@@ -1664,20 +1668,24 @@ fn partition_schedule<'a>(
 /// Returns the same `k` best seeds a full exact scan would (ties
 /// included) while charging far less: sort keys are the insert-time
 /// [`TrajSummary`] bounds precomputed by [`partition_schedule`] (O(1) per
-/// candidate, no per-point walk), candidate points are contiguous arena
-/// slices of the delta segments, hopeless candidates are refuted by the
-/// early-abandoning kernel under the live cross-partition bound, and once
-/// even the cheap lower bound cannot beat the global k-th distance the
-/// (sorted) remainder is skipped outright. Accepted hits publish into
+/// candidate, no per-point walk), the staged prefilter then refutes
+/// hopeless candidates before any kernel runs, candidate points are
+/// contiguous arena slices of the delta segments, the rest are refuted by
+/// the early-abandoning kernel under the live cross-partition bound, and
+/// once even the cheap sort-key bound cannot beat the global k-th distance
+/// the (sorted) remainder is skipped outright. Accepted hits publish into
 /// `collector` so later partitions' scans and trie searches prune harder.
 /// Every candidate counts as an attempted verification, so
-/// `exact_abandoned <= exact_computations` always holds.
+/// `exact_prefiltered <= exact_abandoned <= exact_computations` always
+/// holds.
+#[allow(clippy::too_many_arguments)]
 fn scan_delta(
     measure: Measure,
     params: MeasureParams,
     query: &[Point],
+    qsum: &TrajSummary,
     k: usize,
-    cands: &[(f64, u64, &[Point])],
+    cands: &[RefineCand],
     search: &mut SearchStats,
     collector: &SharedTopK,
 ) -> Vec<Hit> {
@@ -1690,11 +1698,17 @@ fn scan_delta(
         .refine_by_bound_shared(
             measure,
             query,
+            qsum,
             k,
             f64::INFINITY,
             Some(collector),
             cands.to_vec(),
             |e| match e {
+                RefineEvent::Prefiltered => {
+                    search.exact_computations += 1;
+                    search.exact_abandoned += 1;
+                    search.exact_prefiltered += 1;
+                }
                 RefineEvent::Scored { abandoned } => {
                     search.exact_computations += 1;
                     search.exact_abandoned += usize::from(abandoned);
@@ -1702,6 +1716,7 @@ fn scan_delta(
                 RefineEvent::SkippedRest(n) => {
                     search.exact_computations += n;
                     search.exact_abandoned += n;
+                    search.exact_prefiltered += n;
                 }
             },
         )

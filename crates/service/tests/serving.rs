@@ -427,6 +427,41 @@ fn delta_scan_abandons_hopeless_candidates() {
 }
 
 #[test]
+fn delta_scan_cascade_refutes_candidates_before_any_kernel() {
+    // Copies of the query with the same endpoints and a bump in the
+    // middle: under DTW their summary bound is 0 (shared endpoints,
+    // overlapping rectangles), so only the candidate-side cascade stage
+    // (interior points against the query's rectangle) can refute them
+    // without running the dynamic program.
+    let cfg = config(Measure::Dtw);
+    let q = &queries()[0];
+    let bumped: Vec<Trajectory> = (0..40u64)
+        .map(|i| {
+            let mut pts = q.clone();
+            for p in &mut pts[1..q.len() - 1] {
+                p.y += 1.0 + i as f64 * 0.01;
+            }
+            Trajectory::new(1_000 + i, pts)
+        })
+        .collect();
+    let service = ReposeService::new(Repose::build(&dataset(0..40), cfg));
+    for t in &bumped {
+        service.insert(t.clone()).unwrap();
+    }
+    let out = service.query(q, 3).unwrap();
+    let s = out.search;
+    assert!(s.exact_prefiltered > 0, "no candidate refuted by a bound: {s:?}");
+    assert!(s.exact_prefiltered <= s.exact_abandoned, "{s:?}");
+    assert!(s.exact_abandoned <= s.exact_computations, "{s:?}");
+    let mut all = dataset(0..40).trajectories().to_vec();
+    all.extend(bumped);
+    assert_eq!(
+        out.hits.iter().map(|h| h.id).collect::<Vec<_>>(),
+        rebuilt_ids(&Dataset::from_trajectories(all), cfg, q, 3)
+    );
+}
+
+#[test]
 fn batch_queries_and_latency_stats() {
     let cfg = config(Measure::Hausdorff);
     let service = ReposeService::new(Repose::build(&dataset(0..40), cfg));

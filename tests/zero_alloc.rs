@@ -5,8 +5,9 @@
 //! Three layers of evidence, from strict to end-to-end:
 //!
 //! 1. **Kernel-strict** — with a warm [`DistScratch`], a loop of exact and
-//!    threshold-aware verifications over a [`TrajStore`] arena performs
-//!    **exactly zero** heap allocations, for all six measures.
+//!    threshold-aware verifications over a [`TrajStore`] arena, each behind
+//!    the staged lower-bound cascade, performs **exactly zero** heap
+//!    allocations, for all six measures.
 //! 2. **Index** — a warm `RpTrie::top_k` still allocates for its search
 //!    structure (frontier heap, per-child bound states), but the count
 //!    must not scale with the number of leaf verifications: growing a
@@ -21,7 +22,7 @@
 //! sees the code under test.
 
 use repose::{Repose, ReposeConfig};
-use repose_distance::{DistScratch, Measure, MeasureParams};
+use repose_distance::{DistScratch, Measure, MeasureParams, RefineCand, TrajSummary};
 use repose_model::{Point, TrajStore, Trajectory};
 use repose_rptrie::{RpTrie, RpTrieConfig};
 use repose_service::{ReposeService, ServiceConfig};
@@ -91,19 +92,26 @@ fn warm_kernels_allocate_exactly_zero() {
     let params = MeasureParams::with_eps(0.5);
     let mut scratch = DistScratch::new();
 
+    let qsum = params.summary_of(&query);
     let verify_all = |scratch: &mut DistScratch| {
         for m in Measure::ALL {
             for slot in 0..store.len() {
                 let pts = store.points(slot);
+                let csum = params.summary_of(pts);
                 let d = params.distance_in(m, &query, pts, scratch);
-                // Threshold-aware: one surviving pass, one abandoning pass.
-                let lb = params.lower_bound(m, &query, pts);
+                // Threshold-aware behind the cascade: one surviving pass,
+                // one abandoning pass (which may stop at an early stage).
+                let lb = params.cascade_lower_bound(m, &query, &qsum, pts, &csum, d + 1.0);
                 let pass =
                     params.distance_within_from_lb_in(m, &query, pts, d + 1.0, lb, scratch);
                 assert_eq!(pass.map(f64::to_bits), Some(d.to_bits()));
+                let lb = params.cascade_lower_bound(m, &query, &qsum, pts, &csum, d * 0.5);
                 let refute =
                     params.distance_within_from_lb_in(m, &query, pts, d * 0.5, lb, scratch);
                 assert!(refute.is_none() || d == 0.0);
+                // The standalone prefilter: every stage over on-the-fly
+                // summaries.
+                assert!(params.lower_bound(m, &query, pts) <= d + 1e-9);
             }
         }
     };
@@ -255,13 +263,17 @@ fn warm_refinement_loop_allocations_independent_of_candidates() {
     let query: Vec<Point> = (0..24).map(|j| Point::new(j as f64 * 0.3, 0.5)).collect();
     let mut scratch = DistScratch::new();
 
+    let qsum = params.summary_of(&query);
     let run = |store: &TrajStore, scratch: &mut DistScratch| -> u64 {
-        let cands: Vec<(f64, u64, &[Point])> = (0..store.len())
+        let sums: Vec<TrajSummary> =
+            (0..store.len()).map(|s| params.summary_of(store.points(s))).collect();
+        let cands: Vec<RefineCand> = (0..store.len())
             .map(|s| {
                 (
-                    params.lower_bound(Measure::Dtw, &query, store.points(s)),
+                    params.summary_lower_bound(Measure::Dtw, &qsum, &sums[s]),
                     store.id(s),
                     store.points(s),
+                    Some(&sums[s]),
                 )
             })
             .collect();
@@ -269,6 +281,7 @@ fn warm_refinement_loop_allocations_independent_of_candidates() {
             let got = params.refine_by_bound_shared_in(
                 Measure::Dtw,
                 &query,
+                &qsum,
                 4,
                 f64::INFINITY,
                 None,
