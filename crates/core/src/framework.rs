@@ -1,5 +1,6 @@
 use crate::{partition::partition_slots, ReposeConfig};
 use repose_cluster::{Cluster, DistDataset, JobStats};
+use repose_distance::ThresholdSource;
 use repose_model::{Dataset, Mbr, Point, TrajId, TrajStore};
 use repose_rptrie::{Hit, RpTrie, SearchStats, SharedTopK};
 use repose_zorder::Grid;
@@ -18,9 +19,9 @@ pub(crate) struct LocalPartition {
 
 /// The outcome of one distributed top-k query.
 ///
-/// Every [`Repose`] query variant ([`Repose::query`],
-/// [`Repose::query_independent`], [`Repose::query_two_phase`],
-/// [`Repose::query_batch`]) returns one of these. The three fields answer the three questions the paper's
+/// Every [`Repose`] query entry point ([`Repose::query`],
+/// [`Repose::query_independent`], [`Repose::query_where`]) returns one of
+/// these. The three fields answer the three questions the paper's
 /// evaluation asks of a query: *what* was found (`hits`), *how long* the
 /// simulated cluster took (`job`, whose makespan is the paper's QT metric),
 /// and *how much work* the local indexes did (`search`, the pruning-power
@@ -324,7 +325,7 @@ impl Repose {
     /// tightens each local search's own threshold, so each partition's
     /// work is a subset of its independent-run work.
     pub fn query(&self, query: &[Point], k: usize) -> QueryOutcome {
-        self.query_with_collector(query, k, None)
+        self.execute(query, k, None, true)
     }
 
     /// The pre-shared-threshold execution: every partition searches
@@ -335,10 +336,59 @@ impl Repose {
     /// Kept as the verification baseline for [`Repose::query`] and as the
     /// comparison arm of the `scale` experiment; prefer `query`.
     pub fn query_independent(&self, query: &[Point], k: usize) -> QueryOutcome {
-        let (locals, times, wall) = self.cluster.run_partitions(&self.data, |_, chunk| {
+        self.execute(query, k, None, false)
+    }
+
+    /// Distributed top-k restricted to trajectory ids accepted by `filter`
+    /// (exposed for attribute predicates; `TemporalRepose` builds on it),
+    /// executed like [`Repose::query_independent`].
+    ///
+    /// `filter` runs inside the search's per-thread scratch scope:
+    /// id/side-table predicates are the intended shape, and a filter that
+    /// does invoke a distance kernel still works but pays a temporary
+    /// scratch for that call.
+    pub fn query_where(
+        &self,
+        query: &[Point],
+        k: usize,
+        filter: &(dyn Fn(TrajId) -> bool + Sync),
+    ) -> QueryOutcome {
+        self.execute(query, k, Some(filter), false)
+    }
+
+    /// The one query executor: runs every partition's local search on the
+    /// simulated cluster, simulates the job's schedule, and merges the
+    /// local top-k lists. With `shared` the partitions prune against one
+    /// live [`SharedTopK`]; otherwise each runs under a fixed infinite
+    /// bound.
+    ///
+    /// Shared execution is timed as a single cold run
+    /// ([`Cluster::run_partitions_cold`]): a timing re-run would execute
+    /// against the already-tightened collector and under-report the job's
+    /// true cost.
+    fn execute(
+        &self,
+        query: &[Point],
+        k: usize,
+        filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
+        shared: bool,
+    ) -> QueryOutcome {
+        let collector;
+        let bound: &dyn ThresholdSource = if shared {
+            collector = SharedTopK::new(k);
+            &collector
+        } else {
+            &f64::INFINITY
+        };
+        let task = |_: usize, chunk: &[Arc<LocalPartition>]| {
             let part = &chunk[0];
-            part.trie.top_k(&part.store, query, k)
-        });
+            part.trie.top_k_shared(&part.store, query, k, &[], filter, bound)
+        };
+        let (locals, times, wall) = if shared {
+            self.cluster.run_partitions_cold(&self.data, task)
+        } else {
+            self.cluster.run_partitions(&self.data, task)
+        };
         let job = JobStats::simulate(
             times,
             (0..self.config.num_partitions).collect(),
@@ -348,165 +398,11 @@ impl Repose {
         );
         let mut search = SearchStats::default();
         let mut hits: Vec<Hit> = Vec::with_capacity(k * locals.len().min(8));
-        for l in &locals {
+        for l in locals {
             search.merge(&l.stats);
-            hits.extend_from_slice(&l.hits);
+            hits.extend(l.hits);
         }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        QueryOutcome { hits, job, search }
-    }
-
-    /// Two-phase distributed top-k: a degenerate configuration of the
-    /// shared-threshold execution in which one *seed partition* completes
-    /// its local search first (sequentially), pre-tightening the shared
-    /// collector before every other partition starts; the remaining
-    /// partitions then run concurrently against the same collector and
-    /// keep tightening each other as in [`Repose::query`].
-    ///
-    /// The seed is the partition whose trie root bound is closest to the
-    /// query (cheap one-cell `LBo` over the root's children — no exact
-    /// kernels), so the initial threshold starts as tight as a single
-    /// partition can make it. Exact like `query` up to tie resolution.
-    /// Most effective with heterogeneous partitioning, where every
-    /// partition is a representative sample and the seed threshold is
-    /// already near the global k-th distance.
-    pub fn query_two_phase(&self, query: &[Point], k: usize) -> QueryOutcome {
-        if self.config.num_partitions <= 1 || k == 0 {
-            return self.query(query, k);
-        }
-        let seed = self.best_seed_partition(query);
-        self.query_with_collector(query, k, Some(seed))
-    }
-
-    /// Shared-threshold execution, optionally with a sequential seed phase
-    /// (see [`Repose::query`] / [`Repose::query_two_phase`]).
-    ///
-    /// Always timed as a single cold run
-    /// ([`Cluster::run_partitions_cold`]): a timing re-run would execute
-    /// against the already-tightened collector and under-report the job's
-    /// true cost.
-    fn query_with_collector(
-        &self,
-        query: &[Point],
-        k: usize,
-        seed: Option<usize>,
-    ) -> QueryOutcome {
-        let collector = SharedTopK::new(k);
-
-        // Optional phase 1: the seed partition answers alone, publishing
-        // its hits so phase 2 starts from its local k-th distance.
-        let mut seed_time = Duration::ZERO;
-        let seed_result = seed.map(|si| {
-            let part = &self.data.partition(si)[0];
-            let t0 = Instant::now();
-            let r = part.trie.top_k_shared(&part.store, query, k, &[], None, &collector);
-            seed_time = t0.elapsed();
-            r
-        });
-
-        let (locals, mut times, wall) = self.cluster.run_partitions_cold(&self.data, |pi, chunk| {
-            if Some(pi) == seed {
-                return None;
-            }
-            let part = &chunk[0];
-            Some(part.trie.top_k_shared(&part.store, query, k, &[], None, &collector))
-        });
-        if let Some(si) = seed {
-            // The seed partition's cost happened in phase 1; schedule it as
-            // a task so the makespan accounts for both phases honestly.
-            times[si] = seed_time;
-        }
-        let job = JobStats::simulate(
-            times,
-            (0..self.config.num_partitions).collect(),
-            self.config.cluster.workers,
-            self.config.cluster.cores_per_worker,
-            wall + seed_time,
-        );
-        let mut search = SearchStats::default();
-        let mut hits: Vec<Hit> = Vec::with_capacity(k * (locals.len() + 1).min(8));
-        for l in seed_result.iter().chain(locals.iter().flatten()) {
-            search.merge(&l.stats);
-            hits.extend_from_slice(&l.hits);
-        }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        QueryOutcome { hits, job, search }
-    }
-
-    /// The partition with the smallest root-level lower bound on its
-    /// distance to `query` — the most promising two-phase seed. Falls back
-    /// to partition 0 on ties (including the LCSS all-zero-bound case) and
-    /// for empty partitions (whose bound is infinite).
-    fn best_seed_partition(&self, query: &[Point]) -> usize {
-        let mut best = 0usize;
-        let mut best_bound = f64::INFINITY;
-        for pi in 0..self.config.num_partitions {
-            let b = self.data.partition(pi)[0].trie.root_bound(query);
-            if b < best_bound {
-                best_bound = b;
-                best = pi;
-            }
-        }
-        best
-    }
-
-    /// Executes a *batch* of queries as one distributed job — the paper's
-    /// motivating analytics workload ("ride-hailing companies tend to
-    /// issue a batch of analysis queries", Section V-A).
-    ///
-    /// Each partition answers every query in one pass over its local index,
-    /// so the simulated makespan reflects batch amortization: one task per
-    /// partition rather than one job per query. Every query gets its own
-    /// [`SharedTopK`] collector, shared by all concurrently executing
-    /// partition tasks, so the cross-partition threshold pruning of
-    /// [`Repose::query`] applies to every query of the batch.
-    pub fn query_batch(&self, queries: &[Vec<Point>], k: usize) -> Vec<QueryOutcome> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let collectors: Vec<SharedTopK> = queries.iter().map(|_| SharedTopK::new(k)).collect();
-        // Cold-run timing: re-runs would see already-tightened collectors.
-        let (locals, times, wall) = self.cluster.run_partitions_cold(&self.data, |_, chunk| {
-            let part = &chunk[0];
-            queries
-                .iter()
-                .zip(&collectors)
-                .map(|(q, c)| part.trie.top_k_shared(&part.store, q, k, &[], None, c))
-                .collect::<Vec<_>>()
-        });
-        let job = JobStats::simulate(
-            times,
-            (0..self.config.num_partitions).collect(),
-            self.config.cluster.workers,
-            self.config.cluster.cores_per_worker,
-            wall,
-        );
-        (0..queries.len())
-            .map(|qi| {
-                let mut search = SearchStats::default();
-                let mut hits: Vec<Hit> = Vec::new();
-                for part_results in &locals {
-                    let l = &part_results[qi];
-                    search.merge(&l.stats);
-                    hits.extend_from_slice(&l.hits);
-                }
-                hits.sort_by(Hit::cmp_by_dist_then_id);
-                hits.truncate(k);
-                // The batch shares one schedule; report it on every outcome.
-                QueryOutcome { hits, job: job.clone(), search }
-            })
-            .collect()
-    }
-
-    /// Runs a closure on every local partition with timing — shared by the
-    /// query variants (plain, bounded, filtered).
-    pub(crate) fn run_local<R: Send>(
-        &self,
-        f: impl Fn(&LocalPartition) -> R + Sync,
-    ) -> (Vec<R>, Vec<Duration>, Duration) {
-        self.cluster.run_partitions(&self.data, |_, chunk| f(&chunk[0]))
+        QueryOutcome { hits: Hit::merge_top_k(hits, k), job, search }
     }
 
     /// The configuration the deployment was built with.
@@ -690,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_matches_single_phase_distances() {
+    fn shared_matches_independent_distances() {
         let d = dataset();
         let params = MeasureParams::with_eps(0.5);
         for measure in [Measure::Hausdorff, Measure::Frechet, Measure::Dtw] {
@@ -704,65 +600,20 @@ mod tests {
                     (0..12).map(|s| Point::new(s as f64 * 0.3, qy)).collect();
                 let indep = r.query_independent(&q, 10);
                 let one = r.query(&q, 10);
-                let two = r.query_two_phase(&q, 10);
-                assert_eq!(one.hits.len(), two.hits.len(), "{measure}");
                 assert_eq!(one.hits.len(), indep.hits.len(), "{measure}");
-                for ((a, b), c) in one.hits.iter().zip(&two.hits).zip(&indep.hits) {
+                for (a, c) in one.hits.iter().zip(&indep.hits) {
                     assert!(
-                        (a.dist - b.dist).abs() < 1e-9,
+                        (a.dist - c.dist).abs() < 1e-9,
                         "{measure}: {} vs {}",
                         a.dist,
-                        b.dist
+                        c.dist
                     );
-                    assert!((a.dist - c.dist).abs() < 1e-9, "{measure}");
                 }
                 // shared thresholds must help, never hurt, total pruning
                 // work — regardless of how the partition tasks interleave
                 assert!(one.search.exact_computations <= indep.search.exact_computations);
-                assert!(two.search.exact_computations <= indep.search.exact_computations);
             }
         }
-    }
-
-    #[test]
-    fn batch_queries_match_individual_queries() {
-        let d = dataset();
-        let cfg = ReposeConfig::new(Measure::Hausdorff)
-            .with_partitions(6)
-            .with_delta(0.7);
-        let r = Repose::build(&d, cfg);
-        let queries: Vec<Vec<Point>> = [0.1, 5.3, 12.7]
-            .iter()
-            .map(|&qy| (0..12).map(|s| Point::new(s as f64 * 0.3, qy)).collect())
-            .collect();
-        let batch = r.query_batch(&queries, 7);
-        assert_eq!(batch.len(), 3);
-        for (q, b) in queries.iter().zip(&batch) {
-            let single = r.query(q, 7);
-            assert_eq!(
-                single.hits.iter().map(|h| h.id).collect::<Vec<_>>(),
-                b.hits.iter().map(|h| h.id).collect::<Vec<_>>()
-            );
-        }
-        assert!(r.query_batch(&[], 5).is_empty());
-    }
-
-    #[test]
-    fn two_phase_k_exceeding_partition_size() {
-        let d = dataset(); // 200 trajectories over 8 partitions = 25 each
-        let cfg = ReposeConfig::new(Measure::Hausdorff)
-            .with_partitions(8)
-            .with_delta(0.7);
-        let r = Repose::build(&d, cfg);
-        let q: Vec<Point> = (0..12).map(|s| Point::new(s as f64 * 0.3, 0.1)).collect();
-        // k = 60 > 25: phase 1 cannot fill k, threshold stays infinite,
-        // but the result must still be the exact top-60.
-        let one = r.query(&q, 60);
-        let two = r.query_two_phase(&q, 60);
-        assert_eq!(
-            one.hits.iter().map(|h| h.id).collect::<Vec<_>>(),
-            two.hits.iter().map(|h| h.id).collect::<Vec<_>>()
-        );
     }
 
     #[test]

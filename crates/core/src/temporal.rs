@@ -7,13 +7,11 @@
 //! spatio-temporal query adds a [`TimeWindow`]; only trajectories whose
 //! span overlaps the window qualify. The spatial RP-Trie machinery is
 //! reused unchanged through the filtered search hook
-//! (`RpTrie::top_k_where`): temporal selection composes with — and never
+//! ([`Repose::query_where`]): temporal selection composes with — and never
 //! weakens — the spatial pruning bounds.
 
 use crate::{QueryOutcome, Repose, ReposeConfig};
-use repose_cluster::JobStats;
 use repose_model::{Dataset, Point, TrajId};
-use repose_rptrie::{Hit, SearchStats};
 use std::collections::HashMap;
 
 /// A closed time interval (units are the application's choice — epoch
@@ -78,42 +76,6 @@ impl TemporalRepose {
             let (a, b) = spans[&id];
             window.overlaps(a, b)
         })
-    }
-}
-
-impl Repose {
-    /// Distributed top-k restricted to trajectory ids accepted by `filter`
-    /// (exposed for attribute predicates; `TemporalRepose` builds on it).
-    ///
-    /// `filter` runs inside the search's per-thread scratch scope:
-    /// id/side-table predicates are the intended shape, and a filter that
-    /// does invoke a distance kernel still works but pays a temporary
-    /// scratch for that call.
-    pub fn query_where(
-        &self,
-        query: &[Point],
-        k: usize,
-        filter: &(dyn Fn(TrajId) -> bool + Sync),
-    ) -> QueryOutcome {
-        let (locals, times, wall) = self.run_local(|part| {
-            part.trie.top_k_where(&part.store, query, k, filter)
-        });
-        let job = JobStats::simulate(
-            times,
-            (0..self.num_partitions()).collect(),
-            self.config().cluster.workers,
-            self.config().cluster.cores_per_worker,
-            wall,
-        );
-        let mut search = SearchStats::default();
-        let mut hits: Vec<Hit> = Vec::new();
-        for l in &locals {
-            search.merge(&l.stats);
-            hits.extend_from_slice(&l.hits);
-        }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        QueryOutcome { hits, job, search }
     }
 }
 

@@ -394,8 +394,8 @@ impl MeasureParams {
     /// "score every candidate, sort, truncate to k", used by the DITA/DFT
     /// refinement passes, whose sort keys are already the full
     /// [`MeasureParams::lower_bound`]: [`MeasureParams::refine_by_bound_shared`]
-    /// without summaries or a shared threshold; see there for the
-    /// ordering, tie and `cap` semantics.
+    /// without summaries, with the fixed threshold `cap`; see there for the
+    /// ordering and tie semantics.
     pub fn refine_by_bound(
         &self,
         measure: Measure,
@@ -407,12 +407,12 @@ impl MeasureParams {
     ) -> Vec<(f64, u64)> {
         let qsum = self.summary_of(query);
         let cands = cands.into_iter().map(|(lb, id, pts)| (lb, id, pts, None)).collect();
-        self.refine_by_bound_shared(measure, query, &qsum, k, cap, None, cands, on_event)
+        self.refine_by_bound_shared(measure, query, &qsum, k, &cap, cands, on_event)
     }
 
-    /// Exact top-k refinement of [`RefineCand`]s under a running threshold,
-    /// optionally clamped by a *live* shared one — the serving layer's
-    /// delta scan.
+    /// Exact top-k refinement of [`RefineCand`]s under a running threshold
+    /// clamped by `bound` — a fixed cap, or a *live* shared threshold in
+    /// the serving layer's delta scan.
     ///
     /// Sorts candidates by `(bound, id)` so the k-th distance tightens on
     /// the likely-closest ones first, raises the bound of each candidate
@@ -423,23 +423,22 @@ impl MeasureParams {
     /// scored and resolve by id exactly as a full sort would), and stops at
     /// the first candidate whose sort-key bound proves it — and hence the
     /// sorted remainder — cannot beat the cutoff ([`bound_exceeds`],
-    /// fp-safety margin included). `cap` bounds useful distances
-    /// inclusively (`dist == cap` is kept); pass [`f64::INFINITY`] for
-    /// plain top-k. `on_event` observes every candidate's fate for work
-    /// accounting.
+    /// fp-safety margin included). `on_event` observes every candidate's
+    /// fate for work accounting.
     ///
-    /// With `shared`, every candidate's cutoff is additionally clamped by
-    /// [`crate::ThresholdSource::bound`] (re-read per lane group, so a hit
-    /// another search publishes mid-scan tightens this one immediately),
-    /// and every accepted hit is published back so this scan tightens the
-    /// others. The shared bound is an upper bound on the *global* k-th
-    /// distance, so clamping with it never discards a candidate that could
-    /// still appear in the merged global top-k (ties at the bound are
-    /// kept: the cutoff is applied through [`just_above`], i.e.
-    /// inclusively).
+    /// Every candidate's cutoff is clamped by
+    /// [`crate::ThresholdSource::bound`], inclusively (`dist == bound` is
+    /// kept: the cutoff is applied through [`just_above`]). A plain `f64`
+    /// is a fixed cap (`&f64::INFINITY` for plain top-k). A shared source
+    /// is re-read per lane group, so a hit another search publishes
+    /// mid-scan tightens this one immediately, and every accepted hit is
+    /// published back so this scan tightens the others. The shared bound
+    /// is an upper bound on the *global* k-th distance, so clamping with
+    /// it never discards a candidate that could still appear in the merged
+    /// global top-k.
     ///
     /// Returns up to `k` `(distance, id)` pairs ascending — exactly the k
-    /// smallest such pairs among candidates with `dist <= cap`, identical
+    /// smallest such pairs among candidates with `dist <= bound`, identical
     /// to what exhaustive exact scoring would keep.
     #[allow(clippy::too_many_arguments)]
     pub fn refine_by_bound_shared(
@@ -448,13 +447,12 @@ impl MeasureParams {
         query: &[Point],
         qsum: &TrajSummary,
         k: usize,
-        cap: f64,
-        shared: Option<&dyn crate::ThresholdSource>,
+        bound: &dyn crate::ThresholdSource,
         cands: Vec<RefineCand<'_>>,
         on_event: impl FnMut(RefineEvent),
     ) -> Vec<(f64, u64)> {
         DistScratch::with_thread(|s| {
-            self.refine_by_bound_shared_in(measure, query, qsum, k, cap, shared, cands, on_event, s)
+            self.refine_by_bound_shared_in(measure, query, qsum, k, bound, cands, on_event, s)
         })
     }
 
@@ -468,8 +466,7 @@ impl MeasureParams {
         query: &[Point],
         qsum: &TrajSummary,
         k: usize,
-        cap: f64,
-        shared: Option<&dyn crate::ThresholdSource>,
+        bound: &dyn crate::ThresholdSource,
         mut cands: Vec<RefineCand<'_>>,
         mut on_event: impl FnMut(RefineEvent),
         scratch: &mut DistScratch,
@@ -496,10 +493,8 @@ impl MeasureParams {
             // reverse. The extra `Some`s carry distances above the final
             // k-th and fall back out of the top-k heap, so the returned
             // results are identical.
-            let mut cutoff = best.kth().map_or(cap, |kth| cap.min(kth));
-            if let Some(s) = shared {
-                cutoff = cutoff.min(s.bound());
-            }
+            let cap = bound.bound();
+            let cutoff = best.kth().map_or(cap, |kth| cap.min(kth));
             let thr = just_above(cutoff);
             let mut nb = 0;
             let mut stopped = false;
@@ -533,9 +528,7 @@ impl MeasureParams {
                 });
                 if let Some(d) = d {
                     best.push(d, id);
-                    if let Some(s) = shared {
-                        s.publish(d, id);
-                    }
+                    bound.publish(d, id);
                 }
             }
             if stopped {

@@ -82,6 +82,16 @@ pub trait ThresholdSource: Sync {
     fn publish(&self, dist: f64, id: u64);
 }
 
+/// A fixed threshold: `bound()` is the value itself and `publish` is a
+/// no-op, so a search run against `&f64::INFINITY` (or any static cap) is
+/// a plain, unshared one.
+impl ThresholdSource for f64 {
+    fn bound(&self) -> f64 {
+        *self
+    }
+    fn publish(&self, _dist: f64, _id: u64) {}
+}
+
 /// A bounded result heap maintaining the running top-k cutoff that every
 /// threshold-aware verification site shares: a max-heap over the current
 /// best `k` `(distance, id)` pairs, worst on top, ties evicting the larger
@@ -140,11 +150,13 @@ impl RunningTopK {
     /// The k-th (worst retained) distance once `k` entries are held —
     /// the running cutoff. `None` while the heap is still filling (every
     /// candidate must still be scored exactly).
+    #[inline]
     pub fn kth(&self) -> Option<f64> {
         (self.heap.len() == self.k).then(|| self.heap.peek().expect("full heap").dist)
     }
 
     /// Offers an exactly-scored entry, evicting the worst when over `k`.
+    #[inline]
     pub fn push(&mut self, dist: f64, id: u64) {
         if self.k == 0 {
             return;

@@ -120,87 +120,36 @@ impl RpTrie {
     }
 
     /// Runs a top-k query (Algorithm 2). `store` must be the arena the
-    /// trie was built over.
+    /// trie was built over. The plain form of [`RpTrie::top_k_shared`]:
+    /// no seeds, no filter, no outside threshold.
     pub fn top_k(&self, store: &TrajStore, query: &[Point], k: usize) -> SearchResult {
-        assert_eq!(
-            store.len(),
-            self.built_over,
-            "query must use the trajectory store the index was built over"
-        );
-        search::top_k(self, store, query, k)
+        self.top_k_shared(store, query, k, &[], None, &f64::INFINITY)
     }
 
-    /// Like [`RpTrie::top_k`] but only keeps results strictly better than
-    /// a *static* `threshold` — the fixed-bound form of the live
-    /// [`RpTrie::top_k_shared`], for callers that hold a precomputed upper
-    /// bound on the k-th distance (e.g. a completed neighbour search).
-    pub fn top_k_bounded(
-        &self,
-        store: &TrajStore,
-        query: &[Point],
-        k: usize,
-        threshold: f64,
-    ) -> SearchResult {
-        assert_eq!(store.len(), self.built_over);
-        search::top_k_bounded(self, store, query, k, threshold)
-    }
-
-    /// Like [`RpTrie::top_k`] but restricted to trajectory ids accepted
-    /// by `filter` — the hook for attribute predicates such as the
-    /// temporal windows of `repose::temporal` (the paper's Section IX
-    /// future work).
+    /// The general local search, which every other entry point reduces to.
     ///
-    /// Pruning stays sound under any filter: bounds hold for supersets of
-    /// the qualifying trajectories, and `dk` only tightens from accepted
-    /// hits.
-    pub fn top_k_where(
-        &self,
-        store: &TrajStore,
-        query: &[Point],
-        k: usize,
-        filter: &(dyn Fn(TrajId) -> bool + Sync),
-    ) -> SearchResult {
-        assert_eq!(store.len(), self.built_over);
-        search::top_k_filtered(self, store, query, k, f64::INFINITY, Some(filter), &[], None)
-    }
-
-    /// Top-k over the union of the trie's trajectories and a set of
-    /// pre-scored external candidates (`seeds`) — the serving layer's
-    /// trie + delta-buffer search.
+    /// * `seeds` are pre-scored external candidates — the serving layer's
+    ///   delta-buffer hits. They join the result heap before the trie
+    ///   descent, so trie and seeds share one pruning threshold: with `k`
+    ///   good seeds the trie is only explored where it can still beat
+    ///   them. A seed *shadows* the indexed trajectory with the same id
+    ///   (the caller's version wins; no id appears twice).
+    /// * `filter` restricts which *indexed* trajectories qualify (the
+    ///   serving layer's tombstone check, `repose::temporal`'s time
+    ///   windows); seeds are taken as-is. Pruning stays sound under any
+    ///   filter: bounds hold for supersets of the qualifying trajectories.
+    /// * `bound` is the pruning threshold from outside this search. A
+    ///   [`SharedTopK`] that all partitions of one query share is re-read
+    ///   at every pruning decision and receives every accepted exact
+    ///   distance, so concurrently executing partitions tighten each other
+    ///   mid-flight. A plain `f64` is a fixed threshold: only results
+    ///   strictly better than it are kept (`&f64::INFINITY` for none).
     ///
-    /// The seeds join the result heap before the trie descent, so the
-    /// trie search and the delta scan share one pruning threshold: with
-    /// `k` good seeds the trie is only explored where it can still beat
-    /// them. An optional `filter` restricts which *indexed* trajectories
-    /// qualify (the serving layer passes its tombstone check); seeds are
-    /// taken as-is, and a seed *shadows* any indexed trajectory with the
-    /// same id (the caller's version wins — no id appears twice). Exact:
-    /// the result equals brute force over
-    /// `{accepted, unshadowed indexed trajectories} ∪ {seeds}` up to tie
-    /// resolution.
-    pub fn top_k_seeded(
-        &self,
-        store: &TrajStore,
-        query: &[Point],
-        k: usize,
-        seeds: &[Hit],
-        filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
-    ) -> SearchResult {
-        assert_eq!(store.len(), self.built_over);
-        search::top_k_filtered(self, store, query, k, f64::INFINITY, filter, seeds, None)
-    }
-
-    /// The shared-threshold local search: like [`RpTrie::top_k_seeded`],
-    /// but additionally wired to a live cross-search threshold collector
-    /// (normally a [`SharedTopK`] all partitions of one query share).
-    ///
-    /// The search re-reads `shared`'s bound at every pruning decision and
-    /// publishes every accepted exact distance back, so concurrently
-    /// executing partitions tighten each other mid-flight. Exactness is
-    /// unchanged — the collector's bound always over-approximates the
-    /// global k-th distance (see the `shared` module docs for the
-    /// argument), and this search's hits merged with its peers' equal the
-    /// independent searches' merge up to tie resolution.
+    /// Exact: the result equals brute force over
+    /// `{accepted, unshadowed indexed trajectories} ∪ {seeds}` under the
+    /// bound, and this search's hits merged with its peers' equal the
+    /// independent searches' merge up to tie resolution (see the `shared`
+    /// module docs for the argument).
     pub fn top_k_shared(
         &self,
         store: &TrajStore,
@@ -208,10 +157,14 @@ impl RpTrie {
         k: usize,
         seeds: &[Hit],
         filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
-        shared: &dyn ThresholdSource,
+        bound: &dyn ThresholdSource,
     ) -> SearchResult {
-        assert_eq!(store.len(), self.built_over);
-        search::top_k_filtered(self, store, query, k, f64::INFINITY, filter, seeds, Some(shared))
+        assert_eq!(
+            store.len(),
+            self.built_over,
+            "query must use the trajectory store the index was built over"
+        );
+        search::top_k_filtered(self, store, query, k, filter, seeds, bound)
     }
 
     /// A cheap lower bound on the distance from `query` to *every*
@@ -219,10 +172,11 @@ impl RpTrie {
     /// the root's children (no pivot distances are computed, so this costs
     /// `O(children × |query|)` and no exact kernel invocations).
     ///
-    /// `INFINITY` for an empty trie. Used by the distributed layer to pick
-    /// the most promising seed partition for two-phase execution; for
-    /// measures without a sound internal bound (LCSS) this returns `0.0`
-    /// and the caller falls back to its default ordering.
+    /// `INFINITY` for an empty trie. The serving layer orders its
+    /// partition schedule by it, so the most promising partition searches
+    /// and publishes first; for measures without a sound internal bound
+    /// (LCSS) this returns `0.0` and the schedule falls back to partition
+    /// order.
     pub fn root_bound(&self, query: &[Point]) -> f64 {
         if query.is_empty() {
             return 0.0;
@@ -302,5 +256,13 @@ impl Hit {
     /// ascending distance, ties broken by ascending id. Pass to `sort_by`.
     pub fn cmp_by_dist_then_id(a: &Hit, b: &Hit) -> std::cmp::Ordering {
         a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
+    }
+
+    /// The global merge: sorts `hits` (per-partition results
+    /// concatenated) into the canonical order and keeps the best `k`.
+    pub fn merge_top_k(mut hits: Vec<Hit>, k: usize) -> Vec<Hit> {
+        hits.sort_by(Hit::cmp_by_dist_then_id);
+        hits.truncate(k);
+        hits
     }
 }

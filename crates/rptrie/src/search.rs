@@ -5,7 +5,7 @@ use crate::bounds::BoundState;
 use crate::pivot::pivot_lower_bound;
 use crate::{Hit, NodeId, RpTrie};
 use repose_distance::{
-    bound_exceeds, prefilter_rejects, DistScratch, ThresholdSource, BATCH_LANES,
+    bound_exceeds, prefilter_rejects, DistScratch, RunningTopK, ThresholdSource, BATCH_LANES,
 };
 use repose_model::{Point, TrajId, TrajStore};
 use std::cmp::Ordering;
@@ -67,14 +67,6 @@ pub struct SearchResult {
     pub stats: SearchStats,
 }
 
-impl SearchResult {
-    /// The k-th (worst) distance among the hits, or `None` with fewer than
-    /// `k` hits.
-    pub fn kth_distance(&self, k: usize) -> Option<f64> {
-        (self.hits.len() >= k).then(|| self.hits[k - 1].dist)
-    }
-}
-
 /// Frontier entry: a trie node with the lower bound of its path and the
 /// incremental bound state of Algorithm 1 (`t.r`, `t.cmax` in the paper's
 /// pseudocode).
@@ -105,61 +97,17 @@ impl Ord for Frontier {
     }
 }
 
-/// Result-heap entry (the paper's `minHeap`, actually a max-heap over the
-/// current best k so the worst element is at the top).
-#[derive(Debug, Clone, Copy)]
-struct Worst {
-    dist: f64,
-    id: u64,
-}
-impl PartialEq for Worst {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.id == other.id
-    }
-}
-impl Eq for Worst {}
-impl PartialOrd for Worst {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Worst {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then_with(|| self.id.cmp(&other.id))
-    }
-}
-
-pub(crate) fn top_k(
-    trie: &RpTrie,
-    store: &TrajStore,
-    query: &[Point],
-    k: usize,
-) -> SearchResult {
-    top_k_filtered(trie, store, query, k, f64::INFINITY, None, &[], None)
-}
-
-pub(crate) fn top_k_bounded(
-    trie: &RpTrie,
-    store: &TrajStore,
-    query: &[Point],
-    k: usize,
-    threshold: f64,
-) -> SearchResult {
-    top_k_filtered(trie, store, query, k, threshold, None, &[], None)
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The one trie search every entry point runs (see
+/// [`RpTrie::top_k_shared`]): `bound` is the live cross-search threshold,
+/// or a plain `f64` for a fixed one.
 pub(crate) fn top_k_filtered(
     trie: &RpTrie,
     store: &TrajStore,
     query: &[Point],
     k: usize,
-    threshold: f64,
     filter: Option<&(dyn Fn(TrajId) -> bool + Sync)>,
     seeds: &[Hit],
-    shared: Option<&dyn ThresholdSource>,
+    bound: &dyn ThresholdSource,
 ) -> SearchResult {
     let mut stats = SearchStats::default();
     if k == 0 || query.is_empty() {
@@ -167,10 +115,7 @@ pub(crate) fn top_k_filtered(
     }
     if store.is_empty() {
         // Nothing in the trie: the answer is the best k seeds.
-        let mut hits: Vec<Hit> = seeds.to_vec();
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        return SearchResult { hits, stats };
+        return SearchResult { hits: Hit::merge_top_k(seeds.to_vec(), k), stats };
     }
     // A seed shadows the indexed trajectory with the same id (the caller's
     // version of that trajectory wins); without this, seeding a hit for an
@@ -193,30 +138,21 @@ pub(crate) fn top_k_filtered(
     // bound of every verification candidate.
     let qsum = params.summary_of(query);
 
-    let mut best: BinaryHeap<Worst> = BinaryHeap::with_capacity(k + 1);
-    // Seed hits (e.g. the serving layer's delta-buffer candidates) join
-    // the result heap up front, so the trie search starts with a tight
-    // pruning threshold shared between trie and delta — the trie is only
-    // explored where it can still beat the best seeds.
+    // The paper's result heap: the best k `(dist, id)` pairs, worst on
+    // top. Seed hits (e.g. the serving layer's delta-buffer candidates)
+    // join it up front, so the trie search starts with a tight pruning
+    // threshold shared between trie and delta — the trie is only explored
+    // where it can still beat the best seeds.
+    let mut best = RunningTopK::new(k);
     for s in seeds {
-        best.push(Worst { dist: s.dist, id: s.id });
-        if best.len() > k {
-            best.pop();
-        }
+        best.push(s.dist, s.id);
     }
-    // The live pruning threshold: the local k-th distance, clamped by the
-    // caller's static threshold and — in shared-threshold execution — by
-    // the global collector's bound, re-read on every call so hits other
-    // partitions publish tighten this search mid-flight.
-    let dk = |best: &BinaryHeap<Worst>| -> f64 {
-        let mut t = threshold;
-        if let Some(s) = shared {
-            t = t.min(s.bound());
-        }
-        if best.len() == k {
-            t = t.min(best.peek().expect("non-empty").dist);
-        }
-        t
+    // The live pruning threshold: the local k-th distance, clamped by
+    // `bound` — re-read on every call, so in shared-threshold execution
+    // hits other partitions publish tighten this search mid-flight.
+    let dk = |best: &RunningTopK| -> f64 {
+        let t = bound.bound();
+        best.kth().map_or(t, |kth| t.min(kth))
     };
 
     let mut frontier: BinaryHeap<Frontier> = BinaryHeap::new();
@@ -300,15 +236,10 @@ pub(crate) fn top_k_filtered(
                     for (&d, &id) in scored[..nb].iter().zip(&gids[..nb]) {
                         match d {
                             Some(d) => {
-                                best.push(Worst { dist: d, id });
-                                if best.len() > k {
-                                    best.pop();
-                                }
+                                best.push(d, id);
                                 // A hit accepted here prunes every other
                                 // search sharing the collector.
-                                if let Some(s) = shared {
-                                    s.publish(d, id);
-                                }
+                                bound.publish(d, id);
                             }
                             None => stats.exact_abandoned += 1,
                         }
@@ -347,13 +278,7 @@ pub(crate) fn top_k_filtered(
         }
     }
 
-    let mut hits: Vec<Hit> = best
-        .into_sorted_vec()
-        .into_iter()
-        .map(|w| Hit { id: w.id, dist: w.dist })
-        .collect();
-    debug_assert!(hits.windows(2).all(|w| w[0].dist <= w[1].dist));
-    hits.truncate(k);
+    let hits = best.into_sorted().into_iter().map(|(dist, id)| Hit { id, dist }).collect();
     SearchResult { hits, stats }
     }) // DistScratch::with_thread
 }
@@ -483,8 +408,8 @@ mod tests {
             grid8(),
             RpTrieConfig::for_measure(Measure::Hausdorff),
         );
-        // Only τ1 (2.83) beats a threshold of 3.0.
-        let r = trie.top_k_bounded(&store, &query(), 5, 3.0);
+        // Only τ1 (2.83) beats a fixed threshold of 3.0.
+        let r = trie.top_k_shared(&store, &query(), 5, &[], None, &3.0);
         let ids: Vec<u64> = r.hits.iter().map(|h| h.id).collect();
         assert_eq!(ids, vec![1]);
     }
@@ -589,25 +514,26 @@ mod tests {
         // not appear.
         let champion = Hit { id: 100, dist: 0.5 };
         let hopeless = Hit { id: 101, dist: 1e9 };
-        let r = trie.top_k_seeded(&store, &q, 2, &[champion, hopeless], None);
+        let r = trie.top_k_shared(&store, &q, 2, &[champion, hopeless], None, &f64::INFINITY);
         let ids: Vec<u64> = r.hits.iter().map(|h| h.id).collect();
         assert_eq!(ids, vec![100, 1]);
 
         // k good seeds tighten the threshold: never more exact distance
         // computations than the unseeded search.
         let unseeded = trie.top_k(&store, &q, 2);
-        let seeded = trie.top_k_seeded(
+        let seeded = trie.top_k_shared(
             &store,
             &q,
             2,
             &[Hit { id: 100, dist: 0.5 }, Hit { id: 102, dist: 0.6 }],
             None,
+            &f64::INFINITY,
         );
         assert!(seeded.stats.exact_computations <= unseeded.stats.exact_computations);
 
         // Seeds + filter: filter applies to indexed trajectories only.
         let no_t1 = |id: u64| id != 1;
-        let r = trie.top_k_seeded(&store, &q, 2, &[champion], Some(&no_t1));
+        let r = trie.top_k_shared(&store, &q, 2, &[champion], Some(&no_t1), &f64::INFINITY);
         let ids: Vec<u64> = r.hits.iter().map(|h| h.id).collect();
         assert_eq!(ids, vec![100, 4]);
 
@@ -615,7 +541,7 @@ mod tests {
         // appears once, at the seed's distance (the serving layer's
         // "delta version wins" upsert semantics).
         let shadow = Hit { id: 1, dist: 0.25 };
-        let r = trie.top_k_seeded(&store, &q, 5, &[shadow], None);
+        let r = trie.top_k_shared(&store, &q, 5, &[shadow], None, &f64::INFINITY);
         let ones: Vec<&Hit> = r.hits.iter().filter(|h| h.id == 1).collect();
         assert_eq!(ones.len(), 1, "id 1 must appear exactly once");
         assert_eq!(ones[0].dist, 0.25);
@@ -627,7 +553,8 @@ mod tests {
             grid8(),
             RpTrieConfig::for_measure(Measure::Hausdorff),
         );
-        let r = empty.top_k_seeded(&empty_store, &q, 1, &[hopeless, champion], None);
+        let seeds = [hopeless, champion];
+        let r = empty.top_k_shared(&empty_store, &q, 1, &seeds, None, &f64::INFINITY);
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.hits[0].id, 100);
     }
@@ -650,9 +577,7 @@ mod tests {
         for k in 1..=4 {
             // Independent searches, merged at the end (the old path).
             let (a, b) = (t0.top_k(&p0, &q, k), t1.top_k(&p1, &q, k));
-            let mut indep: Vec<Hit> = [a.hits.clone(), b.hits.clone()].concat();
-            indep.sort_by(Hit::cmp_by_dist_then_id);
-            indep.truncate(k);
+            let indep = Hit::merge_top_k([a.hits.clone(), b.hits.clone()].concat(), k);
 
             // Shared-threshold searches against one collector.
             let c = SharedTopK::new(k);
@@ -660,9 +585,7 @@ mod tests {
                 t0.top_k_shared(&p0, &q, k, &[], None, &c),
                 t1.top_k_shared(&p1, &q, k, &[], None, &c),
             );
-            let mut shared: Vec<Hit> = [sa.hits.clone(), sb.hits.clone()].concat();
-            shared.sort_by(Hit::cmp_by_dist_then_id);
-            shared.truncate(k);
+            let shared = Hit::merge_top_k([sa.hits.clone(), sb.hits.clone()].concat(), k);
 
             assert_eq!(
                 indep.iter().map(|h| (h.dist.to_bits(), h.id)).collect::<Vec<_>>(),

@@ -31,38 +31,14 @@
 //! therefore always contain `k` hits whose distance multiset equals the
 //! exact answer's (Definition 3 of the paper permits any tied subset).
 
-use repose_distance::ThresholdSource;
-use std::collections::{BinaryHeap, HashSet};
+use repose_distance::{RunningTopK, ThresholdSource};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Max-heap entry: worst retained published hit on top.
-struct PoolEntry {
-    dist: f64,
-    id: u64,
-}
-impl PartialEq for PoolEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.id == other.id
-    }
-}
-impl Eq for PoolEntry {}
-impl PartialOrd for PoolEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PoolEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then_with(|| self.id.cmp(&other.id))
-    }
-}
-
 struct Pool {
     /// Best `k` published hits, worst on top.
-    heap: BinaryHeap<PoolEntry>,
+    heap: RunningTopK,
     /// Ids ever published — publish is idempotent per id, so re-publishing
     /// (e.g. a delta hit that is also passed as a trie seed) can never make
     /// one trajectory occupy two of the `k` slots and over-tighten the
@@ -100,7 +76,7 @@ impl SharedTopK {
             k,
             bound_bits: AtomicU64::new(initial.to_bits()),
             pool: Mutex::new(Pool {
-                heap: BinaryHeap::with_capacity(k + 1),
+                heap: RunningTopK::new(k),
                 seen: HashSet::new(),
             }),
         }
@@ -138,12 +114,8 @@ impl SharedTopK {
         if !pool.seen.insert(id) {
             return;
         }
-        pool.heap.push(PoolEntry { dist, id });
-        if pool.heap.len() > self.k {
-            pool.heap.pop();
-        }
-        if pool.heap.len() == self.k {
-            let kth = pool.heap.peek().expect("full pool").dist;
+        pool.heap.push(dist, id);
+        if let Some(kth) = pool.heap.kth() {
             // fetch_min keeps the bound monotone under racing publishers:
             // whichever k-th value is smallest wins, and every k-th value
             // ever computed is a valid upper bound.

@@ -29,6 +29,16 @@ pub enum ServiceError {
     /// [`crate::ReposeService::recover`] was called with a config whose
     /// `durability` is `None`.
     DurabilityNotConfigured,
+    /// A query was malformed — empty, or with a non-finite coordinate —
+    /// and was refused before any search. A batch holding one is refused
+    /// whole.
+    InvalidQuery {
+        /// The position of the offending query in its batch (0 for a
+        /// single query).
+        index: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
     /// A replicated record arrived out of order: applying it would leave a
     /// hole in the operation sequence, so the replica refuses (and does
     /// not acknowledge) rather than silently diverge from its leader.
@@ -53,6 +63,9 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::DurabilityNotConfigured => {
                 write!(f, "recovery requires a durability configuration")
+            }
+            ServiceError::InvalidQuery { index, reason } => {
+                write!(f, "invalid query at index {index}: {reason}")
             }
             ServiceError::ReplicationGap { expected, got } => write!(
                 f,

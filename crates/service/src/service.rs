@@ -25,11 +25,12 @@
 //! ([`repose_rptrie::RpTrie::root_bound`] min'd with the best stored delta
 //! summary bound), so the most promising partition publishes into the
 //! query's [`SharedTopK`] collector first and tightens the live pruning
-//! threshold for everyone else — the two-phase seed idea generalized to a
-//! priority schedule, without any phase barrier. [`ReposeService::
-//! query_batch`] admits every query of a batch onto the same pool with
-//! per-query collectors, so concurrent read throughput scales with cores
-//! instead of queueing behind one query. With `pool_threads <= 1` the
+//! threshold for everyone else, without any phase barrier.
+//! [`ReposeService::query`] and [`ReposeService::query_batch`] share one
+//! executor (a query is a batch of one) that admits every query of a batch
+//! onto the same pool with per-query collectors, so concurrent read
+//! throughput scales with cores instead of queueing behind one query. With
+//! `pool_threads <= 1` the
 //! service runs the same bound-ordered schedule inline on the caller
 //! thread (the sequential reference path; results are identical either
 //! way — see the `shared` module of `repose-rptrie` for the soundness
@@ -227,6 +228,42 @@ impl PartResult {
             delta_live: 0,
             time: Duration::ZERO,
             skipped: true,
+        }
+    }
+}
+
+/// One cache-missing query's execution state inside
+/// `ReposeService::execute`.
+struct QueryPlan<'a> {
+    query: &'a [Point],
+    /// The hint bound the collector started from (`INFINITY` for none).
+    threshold_seed: f64,
+    /// Shared by every partition's delta scan and trie search of this
+    /// query, so a close delta candidate in partition 0 tightens
+    /// partition 5's trie descent and vice versa.
+    collector: SharedTopK,
+    qsum: TrajSummary,
+    /// Partitions in dispatch order (see [`partition_schedule`]).
+    order: Vec<usize>,
+    /// Each partition's live delta candidates.
+    cands: Vec<Vec<RefineCand<'a>>>,
+}
+
+impl ServiceOutcome {
+    /// An answer served without a search of its own: a cache hit, or an
+    /// in-batch duplicate sharing its twin's (possibly degraded) hits.
+    fn cached(hits: Vec<Hit>, latency: Duration, degraded: bool) -> Self {
+        ServiceOutcome {
+            hits,
+            latency,
+            cache_hit: true,
+            search: SearchStats::default(),
+            delta_candidates: 0,
+            partition_times: Vec::new(),
+            threshold_seed: f64::INFINITY,
+            degraded,
+            partitions_searched: 0,
+            partitions_skipped: 0,
         }
     }
 }
@@ -789,7 +826,8 @@ impl ReposeService {
         Ok(())
     }
 
-    /// Exact top-k over the live data.
+    /// Exact top-k over the live data: [`ReposeService::query_batch`] for
+    /// a batch of one.
     ///
     /// Every partition's delta scan and trie search shares one
     /// [`SharedTopK`] collector, and the per-partition tasks run on the
@@ -797,117 +835,12 @@ impl ReposeService {
     /// query's wall-clock latency scales with cores while the answer stays
     /// exactly what the sequential path returns (identical distance
     /// multiset; ties may resolve per the paper's Definition 3).
+    ///
+    /// An empty query, or one with a non-finite coordinate, is refused
+    /// with [`ServiceError::InvalidQuery`].
     pub fn query(&self, query: &[Point], k: usize) -> Result<ServiceOutcome, ServiceError> {
-        let t0 = Instant::now();
-        ServiceCounters::bump(&self.counters.queries);
-
-        let key = CacheKey::new(self.measure, query, k);
-        // Load the version *before* snapshotting: any write that completes
-        // after this load bumps past it, so a result cached under this
-        // version can never be served once newer data exists. (A write
-        // landing between the load and the snapshot merely makes the
-        // cached entry conservatively stale.)
-        let version = self.version.load(Ordering::Acquire);
-        if let Some(hits) = self.lock_cache().get(&key, version) {
-            ServiceCounters::bump(&self.counters.cache_hits);
-            let latency = t0.elapsed();
-            self.counters.record_read(latency);
-            return Ok(ServiceOutcome {
-                hits,
-                latency,
-                cache_hit: true,
-                search: SearchStats::default(),
-                delta_candidates: 0,
-                partition_times: Vec::new(),
-                threshold_seed: f64::INFINITY,
-                degraded: false,
-                partitions_searched: 0,
-                partitions_skipped: 0,
-            });
-        }
-        // Admission is checked only for queries that must search: cache
-        // hits cost nothing and are always served, even under overload.
-        let _permit = match self.admission.try_acquire() {
-            Ok(p) => p,
-            Err(in_flight) => {
-                ServiceCounters::bump(&self.counters.queries_shed);
-                return Err(ServiceError::Overloaded {
-                    in_flight,
-                    limit: self.admission.limit(),
-                });
-            }
-        };
-        ServiceCounters::bump(&self.counters.cache_misses);
-        let deadline = self
-            .query_deadline
-            .map(|budget| Deadline::after(&*self.clock, budget));
-
-        let (frozen, deltas, tombstones, state_seq) = self.snapshot();
-        // Hints are matched on the snapshot's op-seq, *after* the
-        // snapshot: a hint seeds this query iff it was computed on this
-        // exact logical dataset.
-        let threshold_seed = self.hint_bound(query, k, state_seq);
-
-        // One shared collector for the whole query: every partition's
-        // delta scan and trie search publishes into it and prunes with its
-        // live global k-th-distance bound, so a close delta candidate in
-        // partition 0 tightens partition 5's trie descent and vice versa.
-        // A finite threshold hint pre-bounds dk before the first
-        // verification anywhere (inclusively, via `just_above`, so ties at
-        // the seed bound are kept).
-        let collector = if threshold_seed.is_finite() {
-            SharedTopK::with_initial_bound(k, just_above(threshold_seed))
-        } else {
-            SharedTopK::new(k)
-        };
-        let qsum = self.params.summary_of(query);
-        let parts = self.run_partitions(
-            &frozen, &deltas, &tombstones, query, k, &qsum, &collector, deadline,
-        );
-
-        let mut hits: Vec<Hit> = Vec::new();
-        let mut search = SearchStats::default();
-        let mut delta_candidates = 0;
-        let mut partition_times = Vec::with_capacity(parts.len());
-        let mut skipped = 0;
-        for p in &parts {
-            search.merge(&p.stats);
-            delta_candidates += p.delta_live;
-            partition_times.push(p.time);
-            hits.extend_from_slice(&p.hits);
-            skipped += usize::from(p.skipped);
-        }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        let degraded = skipped > 0;
-
-        if degraded {
-            // A partial answer must never poison the cache or the
-            // threshold-hint ring: both assume exact k-th distances.
-            ServiceCounters::bump(&self.counters.queries_degraded);
-        } else {
-            let mut cache = self.lock_cache();
-            cache.put(key, version, hits.clone());
-            if hits.len() == k {
-                if let Some(kth) = hits.last() {
-                    cache.record_hint(self.measure, query, k, state_seq, kth.dist);
-                }
-            }
-        }
-        let latency = t0.elapsed();
-        self.counters.record_read(latency);
-        Ok(ServiceOutcome {
-            hits,
-            latency,
-            cache_hit: false,
-            search,
-            delta_candidates,
-            partition_times,
-            threshold_seed,
-            degraded,
-            partitions_searched: parts.len() - skipped,
-            partitions_skipped: skipped,
-        })
+        let mut outcomes = self.execute(&[query], k)?;
+        Ok(outcomes.pop().expect("one outcome per query"))
     }
 
     /// Exact top-k over the live data, executed sequentially in bound
@@ -941,82 +874,86 @@ impl ReposeService {
         ServiceCounters::bump(&self.counters.queries);
         ServiceCounters::bump(&self.counters.cache_misses);
         let (frozen, deltas, tombstones, _state_seq) = self.snapshot();
-        let collector = if seed_dk.is_finite() {
-            SharedTopK::with_initial_bound(k, just_above(seed_dk))
-        } else {
-            SharedTopK::new(k)
-        };
+        let collector = seeded_collector(k, seed_dk);
         let qsum = self.params.summary_of(query);
         let (order, cands) =
             partition_schedule(&frozen, &deltas, &tombstones, query, &qsum, self.params);
-
-        let mut hits: Vec<Hit> = Vec::new();
-        let mut search = SearchStats::default();
-        let mut delta_candidates = 0;
-        let mut partition_times = vec![Duration::ZERO; order.len()];
+        let mut parts: Vec<Option<PartResult>> = Vec::new();
+        parts.resize_with(order.len(), || None);
         for &pi in &order {
             let p = run_partition(
                 &frozen, &tombstones, query, &qsum, k, &collector, self.params, &cands[pi], pi,
             );
             on_partition(&collector, &p.hits);
-            search.merge(&p.stats);
-            delta_candidates += p.delta_live;
-            partition_times[pi] = p.time;
-            hits.extend_from_slice(&p.hits);
+            parts[pi] = Some(p);
         }
-        hits.sort_by(Hit::cmp_by_dist_then_id);
-        hits.truncate(k);
-        let latency = t0.elapsed();
-        self.counters.record_read(latency);
-        Ok(ServiceOutcome {
-            hits,
-            latency,
-            cache_hit: false,
-            search,
-            delta_candidates,
-            partition_times,
-            threshold_seed: seed_dk,
-            degraded: false,
-            partitions_searched: order.len(),
-            partitions_skipped: 0,
-        })
+        let mut out = merge_partitions(parts.into_iter().flatten(), k, seed_dk);
+        out.latency = t0.elapsed();
+        self.counters.record_read(out.latency);
+        Ok(out)
     }
 
     /// Answers a batch of queries (cache consulted per query).
     ///
-    /// With the pool enabled, every cache-missing query of the batch is
-    /// admitted onto the pool at once — one task per (query, partition),
-    /// interleaved so each query's most promising partition dispatches
-    /// first — with one [`SharedTopK`] collector *per query*. Concurrent
-    /// read throughput therefore scales with pool threads instead of the
-    /// batch queueing behind one query at a time. Results are exactly the
+    /// Every cache-missing query of the batch is admitted at once — one
+    /// task per (query, partition), interleaved so each query's most
+    /// promising partition dispatches first — with one [`SharedTopK`]
+    /// collector *per query*. With the pool enabled, concurrent read
+    /// throughput therefore scales with pool threads instead of the batch
+    /// queueing behind one query at a time. Results are exactly the
     /// per-query [`ReposeService::query`] answers.
     ///
     /// A batch holds **one** admission slot for all its cache-missing
     /// queries (it is one caller); a full gate rejects the whole call
     /// with [`ServiceError::Overloaded`]. With a configured deadline the
     /// budget covers the batch, and each query reports its own degraded
-    /// flag.
+    /// flag. A batch holding an invalid query (empty, or with a non-finite
+    /// coordinate) is refused whole with [`ServiceError::InvalidQuery`]
+    /// naming the first such query's index.
     pub fn query_batch(
         &self,
         queries: &[Vec<Point>],
         k: usize,
     ) -> Result<Vec<ServiceOutcome>, ServiceError> {
-        let Some(pool) = &self.pool else {
-            return queries.iter().map(|q| self.query(q, k)).collect();
-        };
-        if queries.len() <= 1 {
-            return queries.iter().map(|q| self.query(q, k)).collect();
-        }
+        self.execute(queries, k)
+    }
 
+    /// The one read path behind [`ReposeService::query`] and
+    /// [`ReposeService::query_batch`]: validation, the cache pass with
+    /// in-batch dedupe, one admission permit, one deadline and one
+    /// snapshot for every cache-missing query, per-query hint seed,
+    /// collector and [`partition_schedule`], rank-major dispatch, then the
+    /// merge and the cache and hint bookkeeping.
+    ///
+    /// With the pool, every task but the first is submitted in dispatch
+    /// order (the pool is FIFO) and the first — the first query's most
+    /// promising partition — runs inline on the caller, starting without
+    /// dispatch latency. Without it, the tasks run inline in the same
+    /// order. Each task samples the clock once as it starts: a task whose
+    /// deadline has expired is skipped, not searched, and its query
+    /// returns promptly as a degraded partial answer.
+    fn execute<Q: AsRef<[Point]> + Sync>(
+        &self,
+        queries: &[Q],
+        k: usize,
+    ) -> Result<Vec<ServiceOutcome>, ServiceError> {
         let t0 = Instant::now();
+        for (index, q) in queries.iter().enumerate() {
+            if let Some(reason) = query_defect(q.as_ref()) {
+                return Err(ServiceError::InvalidQuery { index, reason });
+            }
+        }
+        // Load the version *before* snapshotting: any write that completes
+        // after this load bumps past it, so a result cached under this
+        // version can never be served once newer data exists. (A write
+        // landing between the load and the snapshot merely makes the
+        // cached entry conservatively stale.)
         let version = self.version.load(Ordering::Acquire);
         let mut outcomes: Vec<Option<ServiceOutcome>> = Vec::new();
         outcomes.resize_with(queries.len(), || None);
         // Unique cache-missing queries; in-batch duplicates collapse onto
         // one execution (`dup_of[qi]` points at the query that computes
-        // their shared answer), like the sequential path's second-query
-        // cache hit.
+        // their shared answer), like a second identical query's cache hit.
         let mut misses: Vec<usize> = Vec::new();
         let mut dup_of: Vec<Option<usize>> = vec![None; queries.len()];
         {
@@ -1024,28 +961,14 @@ impl ReposeService {
             let mut seen: HashMap<CacheKey, usize> = HashMap::new();
             for (qi, q) in queries.iter().enumerate() {
                 ServiceCounters::bump(&self.counters.queries);
-                let key = CacheKey::new(self.measure, q, k);
+                let key = CacheKey::new(self.measure, q.as_ref(), k);
                 if let Some(hits) = cache.get(&key, version) {
                     ServiceCounters::bump(&self.counters.cache_hits);
-                    // Cache hits are done now; their latency is their own,
-                    // not the batch's.
-                    outcomes[qi] = Some(ServiceOutcome {
-                        hits,
-                        latency: t0.elapsed(),
-                        cache_hit: true,
-                        search: SearchStats::default(),
-                        delta_candidates: 0,
-                        partition_times: Vec::new(),
-                        threshold_seed: f64::INFINITY,
-                        degraded: false,
-                        partitions_searched: 0,
-                        partitions_skipped: 0,
-                    });
+                    outcomes[qi] = Some(ServiceOutcome::cached(hits, t0.elapsed(), false));
                 } else if let Some(&twin) = seen.get(&key) {
                     ServiceCounters::bump(&self.counters.cache_hits);
                     dup_of[qi] = Some(twin);
                 } else {
-                    ServiceCounters::bump(&self.counters.cache_misses);
                     seen.insert(key, qi);
                     misses.push(qi);
                 }
@@ -1053,6 +976,8 @@ impl ReposeService {
         }
 
         if !misses.is_empty() {
+            // Admission is checked only for queries that must search: cache
+            // hits cost nothing and are always served, even under overload.
             let _permit = match self.admission.try_acquire() {
                 Ok(p) => p,
                 Err(in_flight) => {
@@ -1063,155 +988,117 @@ impl ReposeService {
                     });
                 }
             };
+            self.counters.cache_misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
             let deadline = self
                 .query_deadline
                 .map(|budget| Deadline::after(&*self.clock, budget));
             let (frozen, deltas, tombstones, state_seq) = self.snapshot();
             let n = frozen.num_partitions();
-            // Hint seeding happens *after* the snapshot, matched on its
-            // op-seq: a hint applies iff computed on this exact dataset.
-            let seeds: Vec<f64> = misses
+            let plans: Vec<QueryPlan> = misses
                 .iter()
-                .map(|&qi| self.hint_bound(&queries[qi], k, state_seq))
-                .collect();
-            let collectors: Vec<SharedTopK> = seeds
-                .iter()
-                .map(|&b| {
-                    if b.is_finite() {
-                        SharedTopK::with_initial_bound(k, just_above(b))
-                    } else {
-                        SharedTopK::new(k)
-                    }
-                })
-                .collect();
-            let qsums: Vec<TrajSummary> = misses
-                .iter()
-                .map(|&qi| self.params.summary_of(&queries[qi]))
-                .collect();
-            let schedules: Vec<(Vec<usize>, Vec<Vec<RefineCand>>)> = misses
-                .iter()
-                .zip(&qsums)
-                .map(|(&qi, qsum)| {
-                    partition_schedule(
+                .map(|&qi| {
+                    let query = queries[qi].as_ref();
+                    // Hints are matched on the snapshot's op-seq, *after*
+                    // the snapshot: a hint seeds this query iff it was
+                    // computed on this exact logical dataset.
+                    let threshold_seed = self.hint_bound(query, k, state_seq);
+                    let qsum = self.params.summary_of(query);
+                    let (order, cands) = partition_schedule(
                         &frozen,
                         &deltas,
                         &tombstones,
-                        &queries[qi],
-                        qsum,
+                        query,
+                        &qsum,
                         self.params,
-                    )
+                    );
+                    QueryPlan {
+                        query,
+                        threshold_seed,
+                        collector: seeded_collector(k, threshold_seed),
+                        qsum,
+                        order,
+                        cands,
+                    }
                 })
                 .collect();
-            let results: Vec<Vec<Mutex<Option<PartResult>>>> = (0..misses.len())
+            let results: Vec<Vec<Mutex<Option<PartResult>>>> = plans
+                .iter()
                 .map(|_| (0..n).map(|_| Mutex::new(None)).collect())
                 .collect();
-
-            pool.scope(|s| {
-                // Rank-major interleaving: every query's best-bound
-                // partition dispatches before any query's second-best, so
-                // each collector tightens as early as possible. (`rank`
-                // deliberately indexes every query's schedule at once —
-                // not a needless range loop over one slice.)
-                #[allow(clippy::needless_range_loop)]
-                for rank in 0..n {
-                    for (mi, &qi) in misses.iter().enumerate() {
-                        let pi = schedules[mi].0[rank];
-                        let slot = &results[mi][pi];
-                        let collector = &collectors[mi];
-                        let cands = &schedules[mi].1[pi];
-                        let query = queries[qi].as_slice();
-                        let qsum = &qsums[mi];
-                        let frozen = &frozen;
-                        let tombstones = &tombstones;
-                        let params = self.params;
-                        let clock = &self.clock;
-                        s.submit(move || {
-                            // One clock sample decides this dispatch.
-                            let r = if deadline.is_some_and(|d| d.expired_at(clock.now())) {
-                                PartResult::skipped()
-                            } else {
-                                run_partition(
-                                    frozen, tombstones, query, qsum, k, collector, params, cands,
-                                    pi,
-                                )
-                            };
-                            *slot.lock().expect("partition slot") = Some(r);
-                        });
-                    }
-                }
+            let run = |mi: usize, pi: usize| {
+                let plan = &plans[mi];
+                let r = if deadline.is_some_and(|d| d.expired_at(self.clock.now())) {
+                    PartResult::skipped()
+                } else {
+                    run_partition(
+                        &frozen,
+                        &tombstones,
+                        plan.query,
+                        &plan.qsum,
+                        k,
+                        &plan.collector,
+                        self.params,
+                        &plan.cands[pi],
+                        pi,
+                    )
+                };
+                *results[mi][pi].lock().expect("partition slot") = Some(r);
+            };
+            // Rank-major: every query's best-bound partition dispatches
+            // before any query's second-best, so each collector tightens
+            // as early as possible.
+            let plans_ref = &plans;
+            let mut tasks = (0..n).flat_map(|rank| {
+                (0..plans_ref.len()).map(move |mi| (mi, plans_ref[mi].order[rank]))
             });
+            match &self.pool {
+                Some(pool) if n * plans.len() > 1 => pool.scope(|s| {
+                    let first = tasks.next().expect("at least two tasks");
+                    for (mi, pi) in tasks {
+                        let run = &run;
+                        s.submit(move || run(mi, pi));
+                    }
+                    run(first.0, first.1);
+                }),
+                _ => tasks.for_each(|(mi, pi)| run(mi, pi)),
+            }
 
             let mut cache = self.lock_cache();
-            for (mi, &qi) in misses.iter().enumerate() {
-                let mut hits: Vec<Hit> = Vec::new();
-                let mut search = SearchStats::default();
-                let mut delta_candidates = 0;
-                let mut partition_times = Vec::with_capacity(n);
-                let mut skipped = 0;
-                for slot in &results[mi] {
-                    let p = slot
-                        .lock()
+            for ((plan, slots), &qi) in plans.iter().zip(results).zip(&misses) {
+                let parts = slots.into_iter().map(|slot| {
+                    slot.into_inner()
                         .expect("partition slot")
-                        .take()
-                        .expect("every partition task completed");
-                    search.merge(&p.stats);
-                    delta_candidates += p.delta_live;
-                    partition_times.push(p.time);
-                    hits.extend_from_slice(&p.hits);
-                    skipped += usize::from(p.skipped);
-                }
-                hits.sort_by(Hit::cmp_by_dist_then_id);
-                hits.truncate(k);
-                let degraded = skipped > 0;
-                if degraded {
-                    // Partial answers never reach the cache or the hint
-                    // ring (both assume exact k-th distances).
+                        .expect("every partition task completed")
+                });
+                let out = merge_partitions(parts, k, plan.threshold_seed);
+                if out.degraded {
+                    // A partial answer must never poison the cache or the
+                    // threshold-hint ring: both assume exact k-th distances.
                     ServiceCounters::bump(&self.counters.queries_degraded);
                 } else {
-                    let key = CacheKey::new(self.measure, &queries[qi], k);
-                    cache.put(key, version, hits.clone());
-                    if hits.len() == k {
-                        if let Some(kth) = hits.last() {
-                            cache.record_hint(self.measure, &queries[qi], k, state_seq, kth.dist);
+                    let key = CacheKey::new(self.measure, plan.query, k);
+                    cache.put(key, version, out.hits.clone());
+                    if out.hits.len() == k {
+                        if let Some(kth) = out.hits.last() {
+                            cache.record_hint(self.measure, plan.query, k, state_seq, kth.dist);
                         }
                     }
                 }
-                outcomes[qi] = Some(ServiceOutcome {
-                    hits,
-                    latency: Duration::ZERO, // stamped below
-                    cache_hit: false,
-                    search,
-                    delta_candidates,
-                    partition_times,
-                    threshold_seed: seeds[mi],
-                    degraded,
-                    partitions_searched: n - skipped,
-                    partitions_skipped: skipped,
-                });
+                outcomes[qi] = Some(out);
             }
         }
 
-        // In-batch duplicates share their twin's hits but report as cache
-        // hits (they did no search work of their own). A degraded twin's
-        // partial answer is shared too — flagged identically.
+        // Searched queries report the call's wall time (their work
+        // interleaves on the pool). In-batch duplicates share their twin's
+        // hits but report as cache hits (they did no search work of their
+        // own); a degraded twin's partial answer is shared too — flagged
+        // identically.
         let latency = t0.elapsed();
         for qi in 0..queries.len() {
             if let Some(twin) = dup_of[qi] {
                 let twin = outcomes[twin].as_ref().expect("twin executed");
-                let hits = twin.hits.clone();
-                let degraded = twin.degraded;
-                outcomes[qi] = Some(ServiceOutcome {
-                    hits,
-                    latency,
-                    cache_hit: true,
-                    search: SearchStats::default(),
-                    delta_candidates: 0,
-                    partition_times: Vec::new(),
-                    threshold_seed: f64::INFINITY,
-                    degraded,
-                    partitions_searched: 0,
-                    partitions_skipped: 0,
-                });
+                let (hits, degraded) = (twin.hits.clone(), twin.degraded);
+                outcomes[qi] = Some(ServiceOutcome::cached(hits, latency, degraded));
             }
         }
         Ok(outcomes
@@ -1496,75 +1383,6 @@ impl ReposeService {
         }
         bound
     }
-
-    /// Executes every partition's task for one query against `collector`,
-    /// in bound order — on the pool when enabled (most promising partition
-    /// inline on the caller, the rest FIFO to the workers), inline
-    /// otherwise. Returns per-partition results indexed by partition.
-    ///
-    /// With a `deadline`, each task checks expiry at the moment it starts
-    /// executing: expired tasks are skipped (marked in their
-    /// [`PartResult`]) instead of searched, so the query returns promptly
-    /// with whatever the on-time partitions found. `None` adds no checks —
-    /// the exact path is untouched.
-    #[allow(clippy::too_many_arguments)]
-    fn run_partitions(
-        &self,
-        frozen: &Arc<Repose>,
-        deltas: &[DeltaSnapshot],
-        tombstones: &Arc<HashMap<TrajId, u64>>,
-        query: &[Point],
-        k: usize,
-        qsum: &TrajSummary,
-        collector: &SharedTopK,
-        deadline: Option<Deadline>,
-    ) -> Vec<PartResult> {
-        let n = frozen.num_partitions();
-        let (order, cands) =
-            partition_schedule(frozen, deltas, tombstones, query, qsum, self.params);
-        let params = self.params;
-        let clock = &self.clock;
-        let run = |pi: usize| {
-            // One clock sample decides this dispatch.
-            if deadline.is_some_and(|d| d.expired_at(clock.now())) {
-                return PartResult::skipped();
-            }
-            run_partition(frozen, tombstones, query, qsum, k, collector, params, &cands[pi], pi)
-        };
-        let mut slots: Vec<Option<PartResult>> = Vec::new();
-        slots.resize_with(n, || None);
-        match &self.pool {
-            Some(pool) if n > 1 => {
-                let results: Vec<Mutex<Option<PartResult>>> =
-                    (0..n).map(|_| Mutex::new(None)).collect();
-                pool.scope(|s| {
-                    for &pi in &order[1..] {
-                        let slot = &results[pi];
-                        let run = &run;
-                        s.submit(move || {
-                            *slot.lock().expect("partition slot") = Some(run(pi));
-                        });
-                    }
-                    // The most promising partition runs right here on the
-                    // caller's thread: it starts without dispatch latency
-                    // and its published hits tighten everyone downstream.
-                    *results[order[0]].lock().expect("partition slot") = Some(run(order[0]));
-                });
-                for (slot, result) in slots.iter_mut().zip(results) {
-                    *slot = result.into_inner().expect("partition slot");
-                }
-            }
-            _ => {
-                for &pi in &order {
-                    slots[pi] = Some(run(pi));
-                }
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every partition task completed"))
-            .collect()
-    }
 }
 
 /// One partition's full task for one query: delta scan (cheapest stored
@@ -1610,6 +1428,64 @@ fn run_partition(
         delta_live,
         time: t0.elapsed(),
         skipped: false,
+    }
+}
+
+/// Why `query` cannot be answered, or `None` when it is well-formed: a
+/// query needs at least one point, and every coordinate finite (a NaN
+/// makes every distance NaN and every comparison false).
+fn query_defect(query: &[Point]) -> Option<&'static str> {
+    if query.is_empty() {
+        Some("the query has no points")
+    } else if !query.iter().all(Point::is_finite) {
+        Some("the query has a non-finite coordinate")
+    } else {
+        None
+    }
+}
+
+/// A query's collector, pre-bounded by `seed` when finite — inclusively,
+/// via `just_above`, so ties at the seed bound are kept.
+fn seeded_collector(k: usize, seed: f64) -> SharedTopK {
+    if seed.is_finite() {
+        SharedTopK::with_initial_bound(k, just_above(seed))
+    } else {
+        SharedTopK::new(k)
+    }
+}
+
+/// Merges one query's per-partition results (in partition order) into its
+/// outcome: the global top-k, summed work counters, and the coverage of
+/// a deadline-degraded answer. `latency` is left for the caller to stamp.
+fn merge_partitions(
+    parts: impl IntoIterator<Item = PartResult>,
+    k: usize,
+    threshold_seed: f64,
+) -> ServiceOutcome {
+    let mut hits: Vec<Hit> = Vec::new();
+    let mut search = SearchStats::default();
+    let mut delta_candidates = 0;
+    let mut partition_times = Vec::new();
+    let mut skipped = 0;
+    for p in parts {
+        search.merge(&p.stats);
+        delta_candidates += p.delta_live;
+        partition_times.push(p.time);
+        hits.extend(p.hits);
+        skipped += usize::from(p.skipped);
+    }
+    let searched = partition_times.len() - skipped;
+    ServiceOutcome {
+        hits: Hit::merge_top_k(hits, k),
+        latency: Duration::ZERO,
+        cache_hit: false,
+        search,
+        delta_candidates,
+        partition_times,
+        threshold_seed,
+        degraded: skipped > 0,
+        partitions_searched: searched,
+        partitions_skipped: skipped,
     }
 }
 
@@ -1700,8 +1576,7 @@ fn scan_delta(
             query,
             qsum,
             k,
-            f64::INFINITY,
-            Some(collector),
+            collector,
             cands.to_vec(),
             |e| match e {
                 RefineEvent::Prefiltered => {

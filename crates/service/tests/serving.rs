@@ -5,7 +5,7 @@
 use repose::{Repose, ReposeConfig};
 use repose_distance::{Measure, MeasureParams};
 use repose_model::{Dataset, Point, Trajectory};
-use repose_service::{ReposeService, ServiceConfig};
+use repose_service::{ReposeService, ServiceConfig, ServiceError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -399,6 +399,31 @@ fn service_on_empty_deployment() {
         served_ids(&service, &queries()[0], 5),
         rebuilt_ids(&dataset(0..12), cfg, &queries()[0], 5)
     );
+}
+
+/// An empty query, or one with a non-finite coordinate, gets a typed
+/// error instead of a silent empty answer; a batch holding one is refused
+/// whole, and the error names the offending query's index.
+#[test]
+fn malformed_queries_are_refused_with_a_typed_error() {
+    let service = ReposeService::new(Repose::build(&dataset(0..40), config(Measure::Hausdorff)));
+    let good = queries()[0].clone();
+    let mut nan = good.clone();
+    nan[3].y = f64::NAN;
+    let mut inf = good.clone();
+    inf[0].x = f64::NEG_INFINITY;
+    for bad in [Vec::new(), nan.clone(), inf] {
+        match service.query(&bad, 5) {
+            Err(ServiceError::InvalidQuery { index: 0, .. }) => {}
+            other => panic!("expected InvalidQuery for {bad:?}, got {other:?}"),
+        }
+    }
+    match service.query_batch(&[good.clone(), good.clone(), nan], 5) {
+        Err(ServiceError::InvalidQuery { index: 2, .. }) => {}
+        other => panic!("expected InvalidQuery at index 2, got {other:?}"),
+    }
+    assert_eq!(service.stats().queries, 0, "refused queries are not served");
+    assert_eq!(service.query(&good, 5).unwrap().hits.len(), 5);
 }
 
 #[test]

@@ -582,8 +582,7 @@ impl ShardCluster {
             .filter(|p| matches!(p.state, ShardState::Failed))
             .count() as u32;
         let degraded = shards_failed > 0;
-        all_hits.sort_by(Hit::cmp_by_dist_then_id);
-        all_hits.truncate(k);
+        let all_hits = Hit::merge_top_k(all_hits, k);
         if !degraded && self.cfg.cache_capacity > 0 && self.version == version_at_start {
             if self.cache.len() >= self.cfg.cache_capacity {
                 self.cache.clear();

@@ -1,6 +1,5 @@
 //! Exactness of cross-partition shared-threshold execution under real
-//! concurrency: `Repose::query` / `Repose::query_batch` /
-//! `Repose::query_two_phase` run every partition against one live
+//! concurrency: `Repose::query` runs every partition against one live
 //! `SharedTopK` collector on a physical thread pool, so these tests
 //! repeat each comparison many times to shake out interleavings and
 //! assert the results are *distance-identical* (bit-for-bit equal sorted
@@ -52,13 +51,6 @@ fn assert_shared_matches_independent(
                 shared.search.exact_computations <= indep.search.exact_computations,
                 "{label}: shared did more work"
             );
-            let two = r.query_two_phase(&q.points, k);
-            assert_eq!(
-                sorted_dist_bits(&two),
-                expect,
-                "{label}: two-phase run {rep} diverged"
-            );
-            assert!(two.search.exact_computations <= indep.search.exact_computations);
         }
     }
 }
@@ -117,36 +109,6 @@ fn shared_query_exact_with_heavy_kth_boundary_ties() {
     }
 }
 
-#[test]
-fn shared_batch_distance_identical_to_independent() {
-    let data = PaperDataset::Xian.generate(0.04, 99);
-    let queries: Vec<Vec<Point>> = sample_queries(&data, 3, 17)
-        .into_iter()
-        .map(|t| t.points)
-        .collect();
-    for measure in [Measure::Hausdorff, Measure::Dtw, Measure::Erp] {
-        let cfg = ReposeConfig::new(measure)
-            .with_cluster(small_cluster())
-            .with_partitions(8)
-            .with_delta(PaperDataset::Xian.paper_delta(measure))
-            .with_seed(21);
-        let r = Repose::build(&data, cfg);
-        for rep in 0..4 {
-            let batch = r.query_batch(&queries, 9);
-            assert_eq!(batch.len(), queries.len());
-            for (q, b) in queries.iter().zip(&batch) {
-                let indep = r.query_independent(q, 9);
-                assert_eq!(
-                    sorted_dist_bits(b),
-                    sorted_dist_bits(&indep),
-                    "{measure} rep {rep}"
-                );
-                assert!(b.search.exact_computations <= indep.search.exact_computations);
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -179,7 +141,6 @@ proptest! {
         let expect = sorted_dist_bits(&indep);
         for _ in 0..3 {
             prop_assert_eq!(&sorted_dist_bits(&r.query(&q, k)), &expect);
-            prop_assert_eq!(&sorted_dist_bits(&r.query_two_phase(&q, k)), &expect);
         }
     }
 }

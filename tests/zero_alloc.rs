@@ -283,8 +283,7 @@ fn warm_refinement_loop_allocations_independent_of_candidates() {
                 &query,
                 &qsum,
                 4,
-                f64::INFINITY,
-                None,
+                &f64::INFINITY,
                 cands,
                 |_| {},
                 scratch,
